@@ -1,20 +1,29 @@
 // Microbenchmark for minimal-risk-group enumeration: legacy vector engine vs
 // the bitset cut-set engine (DESIGN.md §5) on fat-tree deployment fault
-// graphs (k = 8 and 16) and a randomized DAG. Emits one JSON object per line
-// so successive PRs can track a BENCH_*.json trajectory:
+// graphs and a randomized DAG. Emits one JSON object per line so successive
+// PRs can track a BENCH_*.json trajectory:
 //
-//   {"bench":"rg_fat_tree_k16","engine":"bitset","ns_per_op":...,"groups":...,
-//    "identical_to_vector":true,"speedup_vs_vector":...}
+//   {"bench":"rg_fat_tree_k8_s4_p16","engine":"bitset","ns_per_op":...,
+//    "groups":...,"identical_to_vector":true,"speedup_vs_vector":...}
+//
+// A fat-tree row's load is set by the parameters in its name: a deployment of
+// `s` servers in distinct pods of a k-port fat tree, each with `p` ECMP routes
+// to the Internet. By default p is every equal-cost route, (k/2)^2, so k sets
+// it; --paths caps it. One row per entry of --servers records the scaling
+// curve along the servers axis (each added server multiplies the AND
+// products).
 //
 // The same results are also written as one machine-readable JSON document
 // (default BENCH_risk_groups.json, see --json-out) for tooling that prefers
 // a single file over scraping stdout.
 //
-//   bench_risk_groups [--reps=5] [--servers=3] [--paths=16] [--threads=0]
-//                     [--dag-basics=14] [--dag-gates=24]
+//   bench_risk_groups [--reps=5] [--ports=8] [--servers=3,4,5] [--paths=0]
+//                     [--threads=0] [--dag-basics=14] [--dag-gates=24]
 //                     [--json-out=BENCH_risk_groups.json]
 
+#include <algorithm>
 #include <cstdio>
+#include <cstdlib>
 #include <set>
 #include <string>
 #include <vector>
@@ -175,16 +184,19 @@ std::string RecordsToJson(size_t reps, size_t threads) {
 
 int main(int argc, char** argv) {
   int64_t reps = 5;
-  int64_t servers = 3;
-  int64_t paths = 32;
+  int64_t ports = 8;
+  std::string servers_list = "3,4,5";
+  int64_t paths = 0;
   int64_t threads = 0;
   int64_t dag_basics = 14;
   int64_t dag_gates = 24;
   std::string json_out = "BENCH_risk_groups.json";
   FlagSet flags;
   flags.AddInt("reps", &reps, "repetitions per engine per case");
-  flags.AddInt("servers", &servers, "redundant servers in the fat-tree deployment");
-  flags.AddInt("paths", &paths, "ECMP paths modeled per server");
+  flags.AddInt("ports", &ports, "fat-tree switch ports k (even, >= 4)");
+  flags.AddString("servers", &servers_list,
+                  "comma-separated deployment sizes, one fat-tree row each");
+  flags.AddInt("paths", &paths, "ECMP routes per server (0 = all (k/2)^2 of them)");
   flags.AddInt("threads", &threads, "bitset engine worker threads (0 = hardware)");
   flags.AddInt("dag-basics", &dag_basics, "basic events in the random DAG case");
   flags.AddInt("dag-gates", &dag_gates, "gates in the random DAG case");
@@ -193,19 +205,33 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "%s\n", s.ToString().c_str());
     return 1;
   }
-  if (reps < 1 || servers < 1 || paths < 1) {
-    std::fprintf(stderr, "--reps, --servers and --paths must be >= 1\n");
+  std::vector<size_t> deployment_sizes;
+  for (const std::string& field : SplitAndTrim(servers_list, ',')) {
+    char* end = nullptr;
+    const long value = std::strtol(field.c_str(), &end, 10);
+    if (*end != '\0' || value < 1 || value > ports) {
+      std::fprintf(stderr, "--servers: expected integers in [1, --ports], got '%s'\n",
+                   field.c_str());
+      return 1;
+    }
+    deployment_sizes.push_back(static_cast<size_t>(value));
+  }
+  if (reps < 1 || paths < 0 || deployment_sizes.empty()) {
+    std::fprintf(stderr, "--reps must be >= 1, --paths >= 0 and --servers non-empty\n");
     return 1;
   }
+  const size_t all_routes = static_cast<size_t>(ports / 2) * static_cast<size_t>(ports / 2);
+  const size_t routes = paths == 0 ? all_routes : std::min(all_routes, static_cast<size_t>(paths));
 
-  for (uint32_t ports : {8u, 16u}) {
-    auto graph = FatTreeDeploymentGraph(ports, static_cast<size_t>(servers),
-                                        static_cast<size_t>(paths));
+  for (size_t servers : deployment_sizes) {
+    auto graph = FatTreeDeploymentGraph(static_cast<uint32_t>(ports), servers, routes);
     if (!graph.ok()) {
       std::fprintf(stderr, "%s\n", graph.status().ToString().c_str());
       return 1;
     }
-    RunCase(StrFormat("rg_fat_tree_k%u", ports), StrFormat("fat_tree_k%u", ports), *graph,
+    RunCase(StrFormat("rg_fat_tree_k%lld_s%zu_p%zu", static_cast<long long>(ports), servers,
+                      routes),
+            StrFormat("fat_tree_k%lld", static_cast<long long>(ports)), *graph,
             static_cast<size_t>(threads), static_cast<size_t>(reps));
   }
 

@@ -214,7 +214,9 @@ void FlightRecorder::DumpToFd(int fd) const {
       event.a = slot.a.load(std::memory_order_relaxed);
       event.b = slot.b.load(std::memory_order_relaxed);
       const uint64_t meta = slot.meta.load(std::memory_order_relaxed);
-      if (ring->head.load(std::memory_order_acquire) > seq + kRingCapacity) continue;
+      // The same lap check as CopyRing (>= there for the same reason); keep
+      // the two copies identical.
+      if (ring->head.load(std::memory_order_acquire) >= seq + kRingCapacity) continue;
       if (meta == 0) continue;
       event.tid = static_cast<uint32_t>(meta >> 32);
       event.type = static_cast<FlightEventType>((meta >> 16) & 0xffff);

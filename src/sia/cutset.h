@@ -11,19 +11,24 @@
 //   subset test  O(stride) `a & ~b` words      (vs std::includes)
 //   size         O(stride) popcounts
 //   fingerprint  O(stride) multiply-xor mix, for hash-based exact dedup
-// AbsorbMinimal implements bucket-by-popcount absorption: after exact
-// duplicates are hashed out, a row can only be absorbed by a *strictly
-// smaller* row, so rows are processed level by level (popcount ascending)
-// and each level is tested — optionally in parallel shards — against the
-// frozen set of smaller survivors. The surviving set is unique, and rows are
-// emitted in (popcount, first-appearance) order, so results are
-// byte-identical no matter how many threads participate.
+// AbsorbMinimal counting-sorts rows by popcount (stable), drops exact
+// duplicates through a flat open-addressing table keyed by the fingerprint's
+// high bits, then absorbs level by level (popcount ascending): a row can only
+// be absorbed by a *strictly smaller* row. Survivors are filed in a key-bit
+// index — each under its rarest bit in the batch, copied into that bit's
+// contiguous bucket — so a candidate is tested only against the buckets of
+// its own set bits, not against every smaller survivor. A level is sharded
+// across a pool only when that indexed work is large enough to pay for it.
+// The surviving set is unique, and rows are emitted in (popcount,
+// first-appearance) order, so results are byte-identical no matter how many
+// threads participate.
 
 #ifndef SRC_SIA_CUTSET_H_
 #define SRC_SIA_CUTSET_H_
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "src/graph/fault_graph.h"
@@ -153,14 +158,31 @@ class CutSetArena {
 
 // --- Absorption ---
 
+// The engine's worker pool, created on first use: stages call Get() only
+// once they have enough work to amortize thread start-up, so small graphs
+// never start one.
+class LazyPool {
+ public:
+  // 0 = hardware concurrency, 1 = never start a pool.
+  explicit LazyPool(size_t threads);
+
+  // Workers Get() would start (a pool is used only when this is > 1).
+  size_t threads() const { return threads_; }
+  // The pool, started on the first call; nullptr when threads() <= 1.
+  ThreadPool* Get();
+
+ private:
+  size_t threads_;
+  std::unique_ptr<ThreadPool> pool_;
+};
+
 // Returns `sets` reduced to its unique minimal rows: exact duplicates are
 // hash-eliminated, then any row that is a proper superset of another row is
-// dropped (bucket-by-popcount, smaller buckets absorb larger ones). Rows are
-// emitted in (popcount ascending, first-appearance) order. When `pool` is
-// non-null and a popcount level has enough candidate×survivor work, the
-// subset tests for that level run as parallel shards; the output is
+// dropped. Rows are emitted in (popcount ascending, first-appearance) order.
+// When `pool` is non-null and a popcount level has enough indexed subset
+// work, that level's tests run as parallel shards; the output is
 // byte-identical to the sequential path for any thread count.
-CutSetArena AbsorbMinimal(const CutSetArena& sets, ThreadPool* pool);
+CutSetArena AbsorbMinimal(const CutSetArena& sets, LazyPool* pool);
 
 }  // namespace indaas
 

@@ -1,9 +1,6 @@
 #include "src/sia/risk_groups.h"
 
 #include <algorithm>
-#include <atomic>
-#include <memory>
-#include <thread>
 
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
@@ -242,32 +239,10 @@ Result<MinimalRgResult> ComputeMinimalRiskGroupsVector(const FaultGraph& graph,
 // from the worker count) so shard boundaries — and thus the merged row
 // order — are identical for every thread count.
 constexpr size_t kProductGrain = 1024;
-// A product sweep must be at least this large before the pool is engaged.
-constexpr size_t kMinParallelProducts = 4096;
-
-// Spins up the shared worker pool only once a stage actually has enough work
-// to amortize thread creation; small graphs never pay for it.
-class LazyPool {
- public:
-  explicit LazyPool(size_t threads)
-      : threads_(threads != 0 ? threads
-                              : std::max<size_t>(1, std::thread::hardware_concurrency())) {}
-
-  // nullptr when the engine is configured (or defaulted) to one thread.
-  ThreadPool* Get() {
-    if (threads_ <= 1) {
-      return nullptr;
-    }
-    if (pool_ == nullptr) {
-      pool_ = std::make_unique<ThreadPool>(threads_);
-    }
-    return pool_.get();
-  }
-
- private:
-  size_t threads_;
-  std::unique_ptr<ThreadPool> pool_;
-};
+// A product sweep engages the pool only at this many output words (products
+// × stride); below it, starting and feeding the pool costs more than the
+// sweep saves.
+constexpr size_t kParallelProductWork = size_t{1} << 20;
 
 // Cartesian AND product over bitset rows; same budget / size-bound semantics
 // as the vector CombineAnd. Flat product index t maps to (t / |rhs|,
@@ -299,7 +274,7 @@ Status CombineAndBitset(const CutSetArena& lhs, const CutSetArena& rhs,
       }
     }
   };
-  ThreadPool* pool = total >= kMinParallelProducts ? lazy_pool.Get() : nullptr;
+  ThreadPool* pool = total * stride >= kParallelProductWork ? lazy_pool.Get() : nullptr;
   if (pool == nullptr) {
     out->Reserve(total);
     bool local_pruned = false;
@@ -335,6 +310,46 @@ Status CombineAndBitset(const CutSetArena& lhs, const CutSetArena& rhs,
   return Status::Ok();
 }
 
+// Converts bitset rows to RiskGroups in the canonical SortGroups order. Bit
+// order is id order, so of two equal-size rows the one holding the lowest
+// bit where they differ has the lexicographically smaller id list; sorting
+// rows that way skips comparing the id vectors.
+template <typename IdFor>
+std::vector<RiskGroup> ToSortedGroups(const CutSetArena& rows, IdFor id_for) {
+  const size_t stride = rows.stride();
+  std::vector<std::pair<size_t, size_t>> order;  // (popcount, row)
+  order.reserve(rows.size());
+  for (size_t i = 0; i < rows.size(); ++i) {
+    order.emplace_back(RowPopcount(rows.row(i), stride), i);
+  }
+  std::sort(order.begin(), order.end(), [&](const auto& x, const auto& y) {
+    if (x.first != y.first) {
+      return x.first < y.first;
+    }
+    const uint64_t* a = rows.row(x.second);
+    const uint64_t* b = rows.row(y.second);
+    for (size_t w = 0; w < stride; ++w) {
+      if (const uint64_t diff = a[w] ^ b[w]; diff != 0) {
+        return (a[w] & diff & -diff) != 0;
+      }
+    }
+    return false;
+  });
+  std::vector<RiskGroup> groups;
+  groups.reserve(order.size());
+  for (const auto& [bits, i] : order) {
+    RiskGroup& group = groups.emplace_back();
+    group.reserve(bits);
+    const uint64_t* row = rows.row(i);
+    for (size_t w = 0; w < stride; ++w) {
+      for (uint64_t word = row[w]; word != 0; word &= word - 1) {
+        group.push_back(id_for(w * 64 + static_cast<size_t>(__builtin_ctzll(word))));
+      }
+    }
+  }
+  return groups;
+}
+
 Result<MinimalRgResult> ComputeMinimalRiskGroupsBitset(const FaultGraph& graph,
                                                        const MinimalRgOptions& options) {
   MinimalRgResult result;
@@ -362,7 +377,7 @@ Result<MinimalRgResult> ComputeMinimalRiskGroupsBitset(const FaultGraph& graph,
           mine.AppendAll(cut_sets[child]);
         }
         if (options.inline_absorption) {
-          mine = AbsorbMinimal(mine, lazy_pool.Get());
+          mine = AbsorbMinimal(mine, &lazy_pool);
         }
         break;
       }
@@ -377,7 +392,7 @@ Result<MinimalRgResult> ComputeMinimalRiskGroupsBitset(const FaultGraph& graph,
             INDAAS_RETURN_IF_ERROR(CombineAndBitset(mine, cut_sets[child], options, &next,
                                                     &result.size_bounded, lazy_pool));
             if (options.inline_absorption) {
-              next = AbsorbMinimal(next, lazy_pool.Get());
+              next = AbsorbMinimal(next, &lazy_pool);
             }
             mine = std::move(next);
           }
@@ -408,7 +423,7 @@ Result<MinimalRgResult> ComputeMinimalRiskGroupsBitset(const FaultGraph& graph,
                                                     options, &next, &result.size_bounded,
                                                     lazy_pool));
             if (options.inline_absorption) {
-              next = AbsorbMinimal(next, lazy_pool.Get());
+              next = AbsorbMinimal(next, &lazy_pool);
             }
             product = std::move(next);
           }
@@ -426,7 +441,7 @@ Result<MinimalRgResult> ComputeMinimalRiskGroupsBitset(const FaultGraph& graph,
             pick[i] = pick[i - 1] + 1;
           }
         }
-        mine = options.inline_absorption ? AbsorbMinimal(acc, lazy_pool.Get()) : std::move(acc);
+        mine = options.inline_absorption ? AbsorbMinimal(acc, &lazy_pool) : std::move(acc);
         break;
       }
     }
@@ -449,22 +464,11 @@ Result<MinimalRgResult> ComputeMinimalRiskGroupsBitset(const FaultGraph& graph,
       }
     }
   }
-  CutSetArena minimal = AbsorbMinimal(cut_sets[graph.top_event()], lazy_pool.Get());
-  result.groups.reserve(minimal.size());
-  for (size_t i = 0; i < minimal.size(); ++i) {
-    const uint64_t* row = minimal.row(i);
-    RiskGroup group;
-    for (size_t w = 0; w < stride; ++w) {
-      uint64_t word = row[w];
-      while (word != 0) {
-        const size_t bit = w * 64 + static_cast<size_t>(__builtin_ctzll(word));
-        group.push_back(index.IdFor(bit));
-        word &= word - 1;
-      }
-    }
-    result.groups.push_back(std::move(group));
-  }
-  SortGroups(result.groups);
+  // With inline absorption every gate's rows are already minimal, so the top
+  // event's are too.
+  CutSetArena& top = cut_sets[graph.top_event()];
+  CutSetArena minimal = options.inline_absorption ? std::move(top) : AbsorbMinimal(top, &lazy_pool);
+  result.groups = ToSortedGroups(minimal, [&](size_t bit) { return index.IdFor(bit); });
   return result;
 }
 
@@ -501,24 +505,7 @@ std::vector<RiskGroup> MinimizeRiskGroups(std::vector<RiskGroup> groups) {
       row[bit / 64] |= 1ULL << (bit % 64);
     }
   }
-  CutSetArena minimal = AbsorbMinimal(arena, nullptr);
-  std::vector<RiskGroup> out;
-  out.reserve(minimal.size());
-  for (size_t i = 0; i < minimal.size(); ++i) {
-    const uint64_t* row = minimal.row(i);
-    RiskGroup group;
-    for (size_t w = 0; w < stride; ++w) {
-      uint64_t word = row[w];
-      while (word != 0) {
-        const size_t bit = w * 64 + static_cast<size_t>(__builtin_ctzll(word));
-        group.push_back(universe[bit]);
-        word &= word - 1;
-      }
-    }
-    out.push_back(std::move(group));
-  }
-  SortGroups(out);
-  return out;
+  return ToSortedGroups(AbsorbMinimal(arena, nullptr), [&](size_t bit) { return universe[bit]; });
 }
 
 Result<MinimalRgResult> ComputeMinimalRiskGroups(const FaultGraph& graph,

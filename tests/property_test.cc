@@ -9,13 +9,17 @@
 
 #include "src/bignum/modular.h"
 #include "src/bignum/prime.h"
+#include "src/deps/depdb.h"
 #include "src/graph/fault_graph.h"
 #include "src/graph/levels.h"
+#include "src/obs/metrics.h"
 #include "src/pia/jaccard.h"
 #include "src/pia/psop.h"
+#include "src/sia/builder.h"
 #include "src/sia/ranking.h"
 #include "src/sia/risk_groups.h"
 #include "src/sia/sampling.h"
+#include "src/topology/fat_tree.h"
 #include "src/util/rng.h"
 
 namespace indaas {
@@ -181,6 +185,176 @@ TEST(RgEngineParityTest, EmittedGroupsAreTrulyMinimal) {
         EXPECT_TRUE(IsMinimalRiskGroup(graph, group))
             << "trial " << trial << " engine " << (engine == RgEngine::kBitset ? "bitset" : "vector");
       }
+    }
+  }
+}
+
+// --- Engine parity at real scale ---
+//
+// The random graphs above have at most 12 basic events: one bitset word, and
+// batches small enough for absorption's quadratic dedup scan. The inputs
+// below cross 64 basic events, so they reach the second word, the
+// fingerprint table and the key-bit survivor index.
+
+// Asserts the bitset engine at 1 and 4 threads returns exactly what the
+// vector engine returns under `options`.
+void ExpectEnginesAgree(const FaultGraph& graph, MinimalRgOptions options) {
+  options.engine = RgEngine::kVector;
+  auto expected = ComputeMinimalRiskGroups(graph, options);
+  ASSERT_TRUE(expected.ok());
+  for (size_t threads : {size_t{1}, size_t{4}}) {
+    options.engine = RgEngine::kBitset;
+    options.threads = threads;
+    auto got = ComputeMinimalRiskGroups(graph, options);
+    ASSERT_TRUE(got.ok());
+    EXPECT_EQ(got->groups, expected->groups)
+        << "threads " << threads << " inline " << options.inline_absorption;
+    EXPECT_EQ(got->size_bounded, expected->size_bounded);
+  }
+}
+
+// Deployment fault graph of `servers` hosts in distinct pods of a k=8 fat
+// tree, each with all 16 routes to the Internet. With `software`, every host
+// also has the fleet's one disk model and runs one program on 38 fleet-wide
+// packages (common-mode dependencies, as in the paper's case studies), which
+// puts even two hosts past 64 basic events.
+FaultGraph FatTreeDeployment(size_t servers, bool software) {
+  auto topo = BuildFatTree(8);
+  EXPECT_TRUE(topo.ok());
+  auto internet = topo->FindDevice("Internet");
+  EXPECT_TRUE(internet.ok());
+  DepDb db;
+  std::vector<std::string> deployment;
+  for (size_t i = 0; i < servers; ++i) {
+    const std::string host = "pod" + std::to_string(i) + "-srv0-0";
+    auto device = topo->FindDevice(host);
+    EXPECT_TRUE(device.ok());
+    for (const NetworkDependency& route : topo->NetworkDependencies(*device, *internet, 16)) {
+      db.Add(route);
+    }
+    if (software) {
+      db.Add(HardwareDependency{host, "Disk", "disk-m1"});
+      std::vector<std::string> packages;
+      for (int p = 0; p < 38; ++p) {
+        packages.push_back("lib" + std::to_string(p) + "=1");
+      }
+      db.Add(SoftwareDependency{"kvstore", host, packages});
+    }
+    deployment.push_back(host);
+  }
+  auto graph = BuildDeploymentFaultGraph(db, deployment);
+  EXPECT_TRUE(graph.ok());
+  return std::move(*graph);
+}
+
+// Top event = OR over one AND gate per group, so the graph's minimal RGs are
+// MinimizeRiskGroups(groups). Groups are sorted ids of basic events 0..n-1.
+FaultGraph OrOfGroups(size_t num_basic, const std::vector<RiskGroup>& groups) {
+  FaultGraph graph;
+  for (size_t i = 0; i < num_basic; ++i) {
+    graph.AddBasicEvent("b" + std::to_string(i), 0.1);
+  }
+  std::vector<NodeId> terms;
+  for (size_t g = 0; g < groups.size(); ++g) {
+    terms.push_back(graph.AddGate("and" + std::to_string(g), GateType::kAnd, groups[g]));
+  }
+  graph.SetTopEvent(graph.AddGate("top", GateType::kOr, terms));
+  EXPECT_TRUE(graph.Validate().ok());
+  return graph;
+}
+
+TEST(RgEngineScaleParityTest, FatTreeDeploymentsMatchVector) {
+  for (size_t servers : {2, 3, 4}) {
+    SCOPED_TRACE("servers " + std::to_string(servers));
+    FaultGraph graph = FatTreeDeployment(servers, /*software=*/true);
+    EXPECT_GT(graph.BasicEvents().size(), 64u);
+    ExpectEnginesAgree(graph, MinimalRgOptions{});
+    MinimalRgOptions bounded;
+    bounded.max_rg_size = 3;
+    ExpectEnginesAgree(graph, bounded);
+  }
+}
+
+// Every group holds basic events 0..63, so all rows share their low word and
+// differ only in the high one — where RowFingerprint's low bits cannot tell
+// them apart.
+TEST(RgEngineScaleParityTest, RowsDifferingOnlyInTheHighWord) {
+  Rng rng(977);
+  std::vector<RiskGroup> groups;
+  for (int g = 0; g < 400; ++g) {
+    std::set<NodeId> high;
+    const size_t extra = 1 + rng.NextBelow(3);
+    while (high.size() < extra) {
+      high.insert(static_cast<NodeId>(64 + rng.NextBelow(64)));
+    }
+    RiskGroup group;
+    for (NodeId id = 0; id < 64; ++id) {
+      group.push_back(id);
+    }
+    group.insert(group.end(), high.begin(), high.end());
+    groups.push_back(std::move(group));
+  }
+  FaultGraph graph = OrOfGroups(128, groups);
+  for (bool inline_absorption : {true, false}) {
+    MinimalRgOptions options;
+    options.inline_absorption = inline_absorption;
+    ExpectEnginesAgree(graph, options);
+  }
+  MinimalRgOptions vector_options;
+  vector_options.engine = RgEngine::kVector;
+  EXPECT_EQ(MinimizeRiskGroups(groups), ComputeMinimalRiskGroups(graph, vector_options)->groups);
+}
+
+// 300 rows drawn from 40 distinct sets of 2..7 events over 90 events: every
+// set recurs, and the copies are interleaved with rows of other popcounts.
+TEST(RgEngineScaleParityTest, DuplicatesSpreadAcrossPopcountLevels) {
+  Rng rng(4243);
+  std::vector<RiskGroup> distinct;
+  for (int d = 0; d < 40; ++d) {
+    std::set<NodeId> members;
+    const size_t size = 2 + rng.NextBelow(6);
+    while (members.size() < size) {
+      members.insert(static_cast<NodeId>(rng.NextBelow(90)));
+    }
+    distinct.emplace_back(members.begin(), members.end());
+  }
+  std::vector<RiskGroup> groups;
+  for (int g = 0; g < 300; ++g) {
+    groups.push_back(distinct[rng.NextBelow(distinct.size())]);
+  }
+  FaultGraph graph = OrOfGroups(90, groups);
+  for (bool inline_absorption : {true, false}) {
+    MinimalRgOptions options;
+    options.inline_absorption = inline_absorption;
+    ExpectEnginesAgree(graph, options);
+  }
+  MinimalRgOptions vector_options;
+  vector_options.engine = RgEngine::kVector;
+  EXPECT_EQ(MinimizeRiskGroups(groups), ComputeMinimalRiskGroups(graph, vector_options)->groups);
+}
+
+// The engine starts its pool only for work that pays for it: a four-server
+// deployment (a served audit's size) runs entirely on the calling thread,
+// while a six-server one shards its largest absorption levels. Both stay
+// byte-identical to the single-threaded result.
+TEST(RgEngineScaleParityTest, PoolStartsOnlyForLargeAbsorptions) {
+  obs::Counter* tasks = obs::MetricsRegistry::Global().GetCounter("threadpool.tasks_total");
+  for (size_t servers : {4, 6}) {
+    SCOPED_TRACE("servers " + std::to_string(servers));
+    FaultGraph graph = FatTreeDeployment(servers, /*software=*/servers == 4);
+    MinimalRgOptions options;
+    options.threads = 1;
+    auto serial = ComputeMinimalRiskGroups(graph, options);
+    ASSERT_TRUE(serial.ok());
+    options.threads = 4;
+    const uint64_t before = tasks->Value();
+    auto sharded = ComputeMinimalRiskGroups(graph, options);
+    ASSERT_TRUE(sharded.ok());
+    EXPECT_EQ(sharded->groups, serial->groups);
+    if (servers == 4) {
+      EXPECT_EQ(tasks->Value(), before);
+    } else {
+      EXPECT_GT(tasks->Value(), before);
     }
   }
 }
