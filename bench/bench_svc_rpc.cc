@@ -1,12 +1,12 @@
 // Round-trip latency of the audit-service RPC path over loopback: one
-// in-process AuditServer, one AuditClient, many sequential RPCs from a
+// in-process AuditServer, one MuxAuditClient, many sequential RPCs from a
 // single connection. Unlike the CLI-driven walkthroughs this isolates the
 // wire path (framing, trace-context extension, server dispatch, codecs)
 // from process spawn and connect cost, which is what the EXPERIMENTS.md
 // observability-overhead A/B needs.
 //
-//   bench_svc_rpc [--pings=5000] [--audits=200] [--mode=reactor|threaded]
-//                 [--flight-recorder=on|off] [--profile-hz=0] [--json-out=...]
+//   bench_svc_rpc [--pings=5000] [--audits=200] [--flight-recorder=on|off]
+//                 [--profile-hz=0] [--json-out=...]
 //
 // --profile-hz > 0 runs the whole measurement inside a continuous
 // sampling-profiler session (the `indaas serve --profile-hz` deployment),
@@ -18,7 +18,7 @@
 #include "src/deps/depdb.h"
 #include "src/obs/flight_recorder.h"
 #include "src/obs/profiler.h"
-#include "src/svc/client.h"
+#include "src/svc/mux_client.h"
 #include "src/svc/server.h"
 #include "src/util/file.h"
 #include "src/util/flags.h"
@@ -46,14 +46,12 @@ std::string BenchDepDbText() {
 Status Run(int argc, char** argv) {
   int64_t pings = 5000;
   int64_t audits = 200;
-  std::string mode = "reactor";
   std::string flight = "on";
   int64_t profile_hz = 0;
   std::string json_out;
   FlagSet flags;
   flags.AddInt("pings", &pings, "timed Ping round trips");
   flags.AddInt("audits", &audits, "timed structural-audit round trips");
-  flags.AddString("mode", &mode, "server mode to measure: reactor | threaded");
   flags.AddString("flight-recorder", &flight,
                   "on (default) | off: A/B the always-on observability cost");
   flags.AddInt("profile-hz", &profile_hz,
@@ -71,15 +69,11 @@ Status Run(int argc, char** argv) {
 
   svc::AuditServerOptions options;
   options.profile_hz = static_cast<uint32_t>(profile_hz);
-  if (mode == "threaded") {
-    options.mode = svc::ServerMode::kThreadPerRequest;
-  } else if (mode != "reactor") {
-    return InvalidArgumentError("--mode must be reactor or threaded");
-  }
   svc::AuditServer server(options);
   INDAAS_RETURN_IF_ERROR(server.Start());
-  INDAAS_ASSIGN_OR_RETURN(svc::AuditClient client,
-                          svc::AuditClient::Connect(net::Endpoint{"127.0.0.1", server.port()}));
+  INDAAS_ASSIGN_OR_RETURN(
+      svc::MuxAuditClient client,
+      svc::MuxAuditClient::Connect(net::Endpoint{"127.0.0.1", server.port()}));
   INDAAS_RETURN_IF_ERROR(client.ImportDepDb(BenchDepDbText()).status());
   AuditSpecification spec;
   spec.candidate_deployments = {{"S1", "S2"}, {"S1", "S3"}};

@@ -1,19 +1,16 @@
 // Saturation study for the audit service: how many concurrent auditing
-// clients each serving mode sustains, and what pipelining buys on one
-// connection. Three phases:
+// clients the reactor sustains, and what pipelining buys on one connection.
+// Three phases:
 //
-//   1. Pipelining gain — sequential AuditClient pings vs a MuxAuditClient
-//      keeping a window of pipelined pings in flight on one connection.
-//   2. Sustained concurrency (the headline) — closed-loop clients auditing
-//      at a low per-connection rate (think time between audits, like real
-//      periodic auditors). Thread-per-request holds a pool worker hostage
-//      per connection, so it saturates at worker_threads connections no
-//      matter how idle they are; the reactor multiplexes them all. A mode
-//      "sustains" a connection when that connection keeps completing audits
-//      for the whole run.
-//   3. Open-loop Poisson arrivals against the reactor — offered load swept
-//      across rates, recording completion p50/p99, achieved throughput and
-//      shed (kUnavailable) counts as the offered load passes capacity.
+//   1. Pipelining gain — on one MuxAuditClient connection, sequential Call
+//      pings vs a window of AsyncCall pings kept in flight.
+//   2. Sustained concurrency — closed-loop clients auditing at a low
+//      per-connection rate (think time between audits, like real periodic
+//      auditors). A connection is "sustained" when it keeps completing
+//      audits for the whole run.
+//   3. Open-loop Poisson arrivals — offered load swept across rates,
+//      recording completion p50/p99, achieved throughput and shed
+//      (kUnavailable) counts as the offered load passes capacity.
 //
 //   bench_svc_saturation [--workers=16] [--duration-s=1.2] [--think-ms=200]
 //     [--reactor-conns=160] [--openloop-rates=1000,4000,12000] [--json-out=...]
@@ -38,7 +35,6 @@
 #include "src/deps/depdb.h"
 #include "src/obs/export.h"
 #include "src/obs/profiler.h"
-#include "src/svc/client.h"
 #include "src/svc/mux_client.h"
 #include "src/svc/server.h"
 #include "src/util/file.h"
@@ -72,7 +68,6 @@ AuditSpecification BenchSpec() {
 }
 
 struct SustainedResult {
-  std::string mode;
   size_t conns = 0;
   size_t progressed = 0;  // connections that completed at least one audit
   size_t sustained = 0;   // connections still completing in the final third
@@ -84,27 +79,21 @@ struct SustainedResult {
 
 // Closed-loop phase: `conns` client threads each audit, then idle for
 // `think_ms` — a fleet of periodic auditors, mostly waiting. Returns what
-// each mode could actually sustain.
-SustainedResult RunSustained(const std::string& mode, svc::ServerMode server_mode,
-                             size_t workers, size_t conns, double duration_s,
-                             int think_ms) {
+// the server could actually sustain.
+SustainedResult RunSustained(size_t workers, size_t conns, double duration_s, int think_ms) {
   svc::AuditServerOptions options;
-  options.mode = server_mode;
   options.worker_threads = workers;
   options.reactor_shards = 2;
-  // Starved connections must fail fast, not hang past the bench window.
-  options.io_timeout_ms = 500;
   options.listen_backlog = static_cast<int>(conns + 16);
   svc::AuditServer server(options);
   SustainedResult result;
-  result.mode = mode;
   result.conns = conns;
   if (Status started = server.Start(); !started.ok()) {
     std::fprintf(stderr, "server start failed: %s\n", started.ToString().c_str());
     return result;
   }
   {
-    auto seed = svc::AuditClient::Connect(net::Endpoint{"127.0.0.1", server.port()});
+    auto seed = svc::MuxAuditClient::Connect(net::Endpoint{"127.0.0.1", server.port()});
     if (!seed.ok() || !seed->ImportDepDb(BenchDepDbText()).ok()) {
       std::fprintf(stderr, "depdb seed failed\n");
       server.Stop();
@@ -127,11 +116,12 @@ SustainedResult RunSustained(const std::string& mode, svc::ServerMode server_mod
   threads.reserve(conns);
   for (size_t c = 0; c < conns; ++c) {
     threads.emplace_back([&, c] {
-      svc::AuditClientOptions client_options;
+      // Starved connections must fail fast, not hang past the bench window.
+      svc::MuxClientOptions client_options;
       client_options.io_timeout_ms = 500;
       client_options.retry.max_attempts = 1;
-      auto client = svc::AuditClient::Connect(net::Endpoint{"127.0.0.1", server.port()},
-                                              client_options);
+      auto client = svc::MuxAuditClient::Connect(net::Endpoint{"127.0.0.1", server.port()},
+                                                 client_options);
       if (!client.ok()) {
         std::lock_guard<std::mutex> lock(mu);
         per_conn_errors[c]++;
@@ -160,9 +150,7 @@ SustainedResult RunSustained(const std::string& mode, svc::ServerMode server_mod
           }
         }
         if (!report.ok()) {
-          // Starved or shed: the serial client's stream may be poisoned
-          // (e.g. a late reply to a timed-out request); stop this conn.
-          return;
+          return;  // starved or shed: this connection is not sustained
         }
         std::this_thread::sleep_for(std::chrono::milliseconds(think_ms));
       }
@@ -262,8 +250,6 @@ Status Run(int argc, char** argv) {
   int64_t workers = 16;
   int64_t pings = 2000;
   int64_t window = 64;
-  int64_t threaded_conns = 16;
-  int64_t threaded_over_conns = 24;
   int64_t reactor_conns = 160;
   double duration_s = 1.2;
   int64_t think_ms = 200;
@@ -276,10 +262,6 @@ Status Run(int argc, char** argv) {
   flags.AddInt("workers", &workers, "server worker threads in every scenario");
   flags.AddInt("pings", &pings, "round trips in the pipelining A/B");
   flags.AddInt("window", &window, "mux client in-flight window");
-  flags.AddInt("threaded-conns", &threaded_conns,
-               "closed-loop connections at the threaded server's capacity");
-  flags.AddInt("threaded-over-conns", &threaded_over_conns,
-               "closed-loop connections past the threaded server's capacity");
   flags.AddInt("reactor-conns", &reactor_conns, "closed-loop connections at the reactor");
   flags.AddDouble("duration-s", &duration_s, "closed-loop scenario duration");
   flags.AddInt("think-ms", &think_ms, "idle time between a connection's audits");
@@ -314,24 +296,22 @@ Status Run(int argc, char** argv) {
     options.worker_threads = static_cast<size_t>(workers);
     svc::AuditServer server(options);
     INDAAS_RETURN_IF_ERROR(server.Start());
-    const net::Endpoint endpoint{"127.0.0.1", server.port()};
-    {
-      INDAAS_ASSIGN_OR_RETURN(svc::AuditClient client, svc::AuditClient::Connect(endpoint));
-      for (int i = 0; i < 100; ++i) {
-        INDAAS_RETURN_IF_ERROR(client.Ping());
-      }
-      WallTimer timer;
-      for (int64_t i = 0; i < pings; ++i) {
-        INDAAS_RETURN_IF_ERROR(client.Ping());
-      }
-      serial_rps = static_cast<double>(pings) / timer.ElapsedSeconds();
-    }
     {
       svc::MuxClientOptions mux_options;
       mux_options.connections = 1;
       mux_options.window = static_cast<size_t>(window);
-      INDAAS_ASSIGN_OR_RETURN(svc::MuxAuditClient client,
-                              svc::MuxAuditClient::Connect(endpoint, mux_options));
+      INDAAS_ASSIGN_OR_RETURN(
+          svc::MuxAuditClient client,
+          svc::MuxAuditClient::Connect(net::Endpoint{"127.0.0.1", server.port()},
+                                       mux_options));
+      for (int i = 0; i < 100; ++i) {
+        INDAAS_RETURN_IF_ERROR(client.Ping());
+      }
+      WallTimer serial_timer;
+      for (int64_t i = 0; i < pings; ++i) {
+        INDAAS_RETURN_IF_ERROR(client.Ping());
+      }
+      serial_rps = static_cast<double>(pings) / serial_timer.ElapsedSeconds();
       std::mutex mu;
       std::condition_variable cv;
       int64_t done = 0;
@@ -367,47 +347,16 @@ Status Run(int argc, char** argv) {
               serial_rps, static_cast<long long>(window), mux_rps,
               serial_rps > 0 ? mux_rps / serial_rps : 0.0);
 
-  // --- Phase 2: sustained concurrent auditors per mode ---
-  std::vector<SustainedResult> sustained;
-  sustained.push_back(RunSustained("threaded", svc::ServerMode::kThreadPerRequest,
-                                   static_cast<size_t>(workers),
-                                   static_cast<size_t>(threaded_conns), duration_s,
-                                   static_cast<int>(think_ms)));
-  sustained.push_back(RunSustained("threaded", svc::ServerMode::kThreadPerRequest,
-                                   static_cast<size_t>(workers),
-                                   static_cast<size_t>(threaded_over_conns), duration_s,
-                                   static_cast<int>(think_ms)));
-  sustained.push_back(RunSustained("reactor", svc::ServerMode::kReactor,
-                                   static_cast<size_t>(workers),
-                                   static_cast<size_t>(threaded_conns), duration_s,
-                                   static_cast<int>(think_ms)));
-  sustained.push_back(RunSustained("reactor", svc::ServerMode::kReactor,
-                                   static_cast<size_t>(workers),
-                                   static_cast<size_t>(reactor_conns), duration_s,
-                                   static_cast<int>(think_ms)));
-  for (const SustainedResult& r : sustained) {
-    std::printf(
-        "%-8s conns=%-4zu progressed=%-4zu sustained=%-4zu audits=%-6llu errors=%-5llu "
-        "p50=%.2fms p99=%.2fms\n",
-        r.mode.c_str(), r.conns, r.progressed, r.sustained,
-        static_cast<unsigned long long>(r.completed),
-        static_cast<unsigned long long>(r.errors), r.p50_ms, r.p99_ms);
-  }
-  // The headline ratio: reactor's sustained connections over the best the
-  // threaded mode managed. The like-for-like p99 comparison is the reactor
-  // run at the threaded server's own connection count.
-  const SustainedResult& threaded_best =
-      sustained[0].sustained >= sustained[1].sustained ? sustained[0] : sustained[1];
-  const SustainedResult& reactor_matched = sustained[2];
-  const SustainedResult& reactor = sustained[3];
-  const double ratio =
-      threaded_best.sustained > 0
-          ? static_cast<double>(reactor.sustained) / threaded_best.sustained
-          : 0.0;
-  std::printf("summary: reactor sustains %zu vs threaded %zu concurrent auditors "
-              "(%.1fx); matched-load p99 %.2fms vs %.2fms\n",
-              reactor.sustained, threaded_best.sustained, ratio, reactor_matched.p99_ms,
-              threaded_best.p99_ms);
+  // --- Phase 2: sustained concurrent auditors ---
+  const SustainedResult sustained =
+      RunSustained(static_cast<size_t>(workers), static_cast<size_t>(reactor_conns),
+                   duration_s, static_cast<int>(think_ms));
+  std::printf(
+      "sustained: conns=%zu progressed=%zu sustained=%zu audits=%llu errors=%llu "
+      "p50=%.2fms p99=%.2fms\n",
+      sustained.conns, sustained.progressed, sustained.sustained,
+      static_cast<unsigned long long>(sustained.completed),
+      static_cast<unsigned long long>(sustained.errors), sustained.p50_ms, sustained.p99_ms);
 
   // --- Phase 3: open-loop Poisson sweep at the reactor ---
   std::vector<OpenLoopResult> open_loop;
@@ -420,8 +369,8 @@ Status Run(int argc, char** argv) {
     INDAAS_RETURN_IF_ERROR(server.Start());
     {
       INDAAS_ASSIGN_OR_RETURN(
-          svc::AuditClient seed,
-          svc::AuditClient::Connect(net::Endpoint{"127.0.0.1", server.port()}));
+          svc::MuxAuditClient seed,
+          svc::MuxAuditClient::Connect(net::Endpoint{"127.0.0.1", server.port()}));
       INDAAS_RETURN_IF_ERROR(seed.ImportDepDb(BenchDepDbText()).status());
     }
     svc::MuxClientOptions mux_options;
@@ -474,24 +423,13 @@ Status Run(int argc, char** argv) {
         "\"mux_rps\": %.1f, \"speedup\": %.2f},\n",
         static_cast<long long>(pings), static_cast<long long>(window), serial_rps, mux_rps,
         serial_rps > 0 ? mux_rps / serial_rps : 0.0);
-    doc += "  \"sustained\": [\n";
-    for (size_t i = 0; i < sustained.size(); ++i) {
-      const SustainedResult& r = sustained[i];
-      doc += StrFormat(
-          "    {\"mode\": \"%s\", \"conns\": %zu, \"progressed\": %zu, \"sustained\": %zu, "
-          "\"completed\": %llu, \"errors\": %llu, \"p50_ms\": %.3f, \"p99_ms\": %.3f}%s\n",
-          r.mode.c_str(), r.conns, r.progressed, r.sustained,
-          static_cast<unsigned long long>(r.completed),
-          static_cast<unsigned long long>(r.errors), r.p50_ms, r.p99_ms,
-          i + 1 < sustained.size() ? "," : "");
-    }
-    doc += "  ],\n";
     doc += StrFormat(
-        "  \"summary\": {\"threaded_sustained\": %zu, \"reactor_sustained\": %zu, "
-        "\"ratio\": %.2f, \"threaded_p99_ms\": %.3f, \"reactor_matched_p99_ms\": %.3f, "
-        "\"reactor_p99_ms\": %.3f},\n",
-        threaded_best.sustained, reactor.sustained, ratio, threaded_best.p99_ms,
-        reactor_matched.p99_ms, reactor.p99_ms);
+        "  \"sustained\": {\"conns\": %zu, \"progressed\": %zu, \"sustained\": %zu, "
+        "\"completed\": %llu, \"errors\": %llu, \"p50_ms\": %.3f, \"p99_ms\": %.3f},\n",
+        sustained.conns, sustained.progressed, sustained.sustained,
+        static_cast<unsigned long long>(sustained.completed),
+        static_cast<unsigned long long>(sustained.errors), sustained.p50_ms,
+        sustained.p99_ms);
     doc += "  \"open_loop\": [\n";
     for (size_t i = 0; i < open_loop.size(); ++i) {
       const OpenLoopResult& r = open_loop[i];

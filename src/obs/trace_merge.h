@@ -9,7 +9,7 @@
 // processes, and emits one Chrome trace where every process is a separate
 // pid on a common timeline:
 //
-//   - an AuditClient "svc.client.rpc" span and the AuditServer "svc.rpc"
+//   - a MuxAuditClient "svc.client.rpc" span and the AuditServer "svc.rpc"
 //     span it caused (matched by trace id + remote_parent == wire span id)
 //     bracket the same request, so aligning their midpoints cancels the
 //     clock skew up to half the network round trip;

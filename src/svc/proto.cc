@@ -485,7 +485,6 @@ Result<HealthStatus> DecodeHealthStatus(std::string_view payload) {
 std::string EncodeDebugInfo(const DebugInfo& info) {
   WireWriter writer;
   writer.U64(info.uptime_us);
-  writer.U8(info.mode);
   writer.U32(info.reactor_shards);
   writer.U64(info.inflight_global);
   writer.U32(static_cast<uint32_t>(info.shards.size()));
@@ -536,7 +535,6 @@ Result<DebugInfo> DecodeDebugInfo(std::string_view payload) {
   WireReader reader(payload);
   DebugInfo info;
   INDAAS_ASSIGN_OR_RETURN(info.uptime_us, reader.U64());
-  INDAAS_ASSIGN_OR_RETURN(info.mode, reader.U8());
   INDAAS_ASSIGN_OR_RETURN(info.reactor_shards, reader.U32());
   INDAAS_ASSIGN_OR_RETURN(info.inflight_global, reader.U64());
   INDAAS_ASSIGN_OR_RETURN(uint32_t shards, reader.U32());

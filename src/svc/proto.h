@@ -147,7 +147,7 @@ struct DebugShard {
   bool has_listener = false;  // still accepting (false once draining)
 };
 
-// One open connection (reactor mode only; threaded mode reports none).
+// One open connection.
 struct DebugConnection {
   uint64_t id = 0;
   uint32_t shard = 0;
@@ -188,7 +188,6 @@ struct DebugSlowRpc {
 // RPCs. Collected live by fanning a gather across reactor shards.
 struct DebugInfo {
   uint64_t uptime_us = 0;
-  uint8_t mode = 0;            // ServerMode as its underlying value
   uint32_t reactor_shards = 0;
   uint64_t inflight_global = 0;
   std::vector<DebugShard> shards;

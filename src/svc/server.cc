@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <deque>
 #include <mutex>
+#include <thread>
 #include <unordered_map>
 #include <vector>
 
@@ -23,11 +24,6 @@
 namespace indaas {
 namespace svc {
 namespace {
-
-// Poll slice for idle waits: bounds how long Stop() waits on a quiet
-// listener or an idle keep-alive connection (thread-per-request mode only;
-// the reactor blocks in epoll_wait and is woken explicitly).
-constexpr int kIdlePollMs = 100;
 
 // Read chunk for the reactor's non-blocking receive path. Level-triggered
 // epoll re-arms automatically, so a connection with more than this pending
@@ -160,8 +156,8 @@ obs::Gauge* ConnectionsActive() {
 }
 
 // The reactor parses frames itself from its receive buffers, so it keeps
-// the frame-layer counters honest by hand (ReadFrame does this for the
-// thread-per-request path).
+// the frame-layer counters honest by hand (ReadFrame does this for
+// blocking readers).
 obs::Counter* FramesRecv() {
   static obs::Counter* counter = obs::MetricsRegistry::Global().GetCounter("net.frames_recv");
   return counter;
@@ -188,6 +184,40 @@ class GaugeScope {
   obs::Gauge* gauge_;
   int64_t delta_;
 };
+
+// The server-wide part of a kGetDebugInfo answer: recent flight-recorder
+// events and the slowest tail-sampled RPCs.
+void FillRecorderDetail(DebugInfo* info) {
+  std::vector<obs::FlightEvent> events = obs::FlightRecorder::Global().Snapshot();
+  constexpr size_t kMaxEvents = 128;
+  size_t first = events.size() > kMaxEvents ? events.size() - kMaxEvents : 0;
+  info->events.reserve(events.size() - first);
+  for (size_t i = first; i < events.size(); ++i) {
+    const obs::FlightEvent& e = events[i];
+    DebugFlightEvent out;
+    out.t_us = e.t_us;
+    out.trace_id = e.trace_id;
+    out.a = e.a;
+    out.b = e.b;
+    out.tid = e.tid;
+    out.type = static_cast<uint16_t>(e.type);
+    out.code = e.code;
+    info->events.push_back(out);
+  }
+  for (const obs::TailSample& s : obs::TailSampler::Global().TopSlowest(32)) {
+    DebugSlowRpc out;
+    out.trace_id = s.trace_id;
+    out.request_id = s.request_id;
+    out.rpc_type = s.rpc_type;
+    out.outcome = static_cast<uint8_t>(s.outcome);
+    out.ok = s.ok;
+    out.conn_id = s.conn_id;
+    out.end_us = s.end_us;
+    out.total_s = s.total_s;
+    for (int i = 0; i < obs::kRpcStageCount; ++i) out.stage_s[i] = s.stages.s[i];
+    info->slowest.push_back(out);
+  }
+}
 
 }  // namespace
 
@@ -847,7 +877,9 @@ struct AuditServer::Reactor {
   void StartDebugGather(Shard* origin, const std::shared_ptr<Conn>& conn,
                         uint64_t request_id) {
     auto gather = std::make_shared<DebugGather>();
-    server->FillDebugCommon(&gather->info);
+    FillRecorderDetail(&gather->info);
+    gather->info.uptime_us =
+        obs::TraceNowMicros() - server->start_us_.load(std::memory_order_relaxed);
     gather->info.reactor_shards = static_cast<uint32_t>(shards.size());
     gather->info.inflight_global = inflight_global.load(std::memory_order_relaxed);
     gather->remaining = shards.size();
@@ -949,10 +981,6 @@ Status AuditServer::Start() {
           .Kv("error", profiling.ToString());
     }
   }
-  return options_.mode == ServerMode::kReactor ? StartReactor() : StartThreaded();
-}
-
-Status AuditServer::StartReactor() {
   workers_ = std::make_unique<ThreadPool>(std::max<size_t>(1, options_.worker_threads));
   start_us_.store(obs::TraceNowMicros(), std::memory_order_relaxed);
   serving_.store(true, std::memory_order_relaxed);
@@ -967,29 +995,10 @@ Status AuditServer::StartReactor() {
     return started;
   }
   INDAAS_SLOG(Info, "svc.server_started")
-      .Kv("mode", "reactor")
       .Kv("port", port_)
       .Kv("shards", reactor_->shards.size())
       .Kv("workers", workers_->num_threads())
       .Kv("sharded_accept", reactor_->sharded_accept);
-  return Status::Ok();
-}
-
-Status AuditServer::StartThreaded() {
-  INDAAS_ASSIGN_OR_RETURN(listener_, net::TcpListen(options_.port, options_.listen_backlog));
-  INDAAS_ASSIGN_OR_RETURN(port_, listener_.LocalPort());
-  workers_ = std::make_unique<ThreadPool>(std::max<size_t>(1, options_.worker_threads));
-  start_us_.store(obs::TraceNowMicros(), std::memory_order_relaxed);
-  serving_.store(true, std::memory_order_relaxed);
-  running_.store(true);
-  accept_thread_ = std::thread([this] {
-    obs::Profiler::Global().RegisterCurrentThread();
-    AcceptLoop();
-  });
-  INDAAS_SLOG(Info, "svc.server_started")
-      .Kv("mode", "threaded")
-      .Kv("port", port_)
-      .Kv("workers", workers_->num_threads());
   return Status::Ok();
 }
 
@@ -1002,164 +1011,18 @@ void AuditServer::Stop() {
     owns_profiler_session_ = false;
     obs::Profiler::Global().Stop();
   }
-  if (reactor_) {
-    // Order matters: stop accepting, drain the pool (completions are
-    // Posted to their shard loops), then stop the loops — EventLoop runs
-    // already-posted closures before exiting, so no reply is dropped
-    // without at least a flush attempt.
-    reactor_->CloseListeners();
-    workers_->Wait();
-    reactor_->Join();
-    reactor_.reset();
-    workers_.reset();
-    return;
-  }
-  if (accept_thread_.joinable()) {
-    accept_thread_.join();
-  }
-  if (workers_) {
-    workers_->Wait();
-    workers_.reset();
-  }
-  listener_.Close();
+  // Order matters: stop accepting, drain the pool (completions are Posted
+  // to their shard loops), then stop the loops — EventLoop runs
+  // already-posted closures before exiting, so no reply is dropped without
+  // at least a flush attempt.
+  reactor_->CloseListeners();
+  workers_->Wait();
+  reactor_->Join();
+  reactor_.reset();
+  workers_.reset();
 }
 
 size_t AuditServer::reactor_shards() const { return reactor_ ? reactor_->shards.size() : 0; }
-
-void AuditServer::AcceptLoop() {
-  while (running_.load(std::memory_order_relaxed)) {
-    Result<net::Socket> accepted = net::TcpAccept(listener_, kIdlePollMs);
-    if (!accepted.ok()) {
-      // Timeout is the idle heartbeat; anything else is logged and survived.
-      if (accepted.status().code() != StatusCode::kDeadlineExceeded) {
-        INDAAS_SLOG_EVERY(Warn, "svc.accept_failed", 1.0)
-            .Kv("error", accepted.status().ToString());
-      }
-      continue;
-    }
-    ConnectionsAccepted()->Increment();
-    // shared_ptr: the lambda lands in a std::function, which must be
-    // copyable; the socket itself is move-only.
-    auto socket = std::make_shared<net::Socket>(std::move(*accepted));
-    workers_->Submit([this, socket] { ServeConnection(socket); });
-  }
-}
-
-void AuditServer::ServeConnection(std::shared_ptr<net::Socket> socket) {
-  GaugeScope connection_scope(ConnectionsActive(), 1);
-  const uint64_t conn_id = next_conn_id_.fetch_add(1, std::memory_order_relaxed) + 1;
-  obs::FlightRecorder::Global().Record(obs::FlightEventType::kAccept, conn_id, 0, 0, 0);
-  while (running_.load(std::memory_order_relaxed)) {
-    // Idle wait in short slices so Stop() is never blocked on a quiet
-    // keep-alive connection.
-    Status readable = socket->WaitReadable(kIdlePollMs);
-    if (readable.code() == StatusCode::kDeadlineExceeded) {
-      continue;
-    }
-    if (!readable.ok()) {
-      return;
-    }
-    WallTimer read_timer;
-    Result<net::Frame> frame = net::ReadFrame(*socket, options_.limits, options_.io_timeout_ms);
-    if (!frame.ok()) {
-      // A clean close between requests is the normal end of a session;
-      // anything else (framing violation, mid-frame timeout) is a drop.
-      if (frame.status().code() != StatusCode::kUnavailable) {
-        INDAAS_SLOG(Warn, "svc.conn_dropped")
-            .Kv("conn", conn_id)
-            .Kv("error", frame.status().ToString());
-        ConnectionsDropped()->Increment();
-      }
-      return;
-    }
-    const uint64_t begin_us = obs::TraceNowMicros();
-    obs::RpcStageSeconds stages;
-    stages.Add(obs::RpcStage::kRead, read_timer.ElapsedSeconds());
-    obs::FlightRecorder::Global().Record(obs::FlightEventType::kRpcBegin, frame->request_id,
-                                         conn_id, frame->type, frame->trace.trace_id);
-    uint8_t reply_type = 0;
-    std::string reply_payload;
-    WallTimer timer;
-    {
-      GaugeScope request_scope(RequestsActive(), 1);
-      // Adopt the request's distributed identity for exactly this request:
-      // installing an invalid context for traceless frames deliberately
-      // clears whatever the previous request left on this pool thread.
-      obs::ScopedTraceContext request_trace(frame->trace);
-      HandleRequest(frame->type, frame->payload, &reply_type, &reply_payload, &stages);
-    }
-    double elapsed = timer.ElapsedSeconds();
-    RpcLatency()->Record(elapsed);
-    RpcSeconds(frame->type)->Record(elapsed);
-    // Echo the request id (if any) so pipelined clients work against both
-    // server modes; plain requests get byte-identical plain replies.
-    WallTimer write_timer;
-    if (Status s = net::WriteFrame(*socket, reply_type, reply_payload, options_.io_timeout_ms,
-                                   {}, frame->request_id);
-        !s.ok()) {
-      INDAAS_SLOG(Warn, "svc.reply_failed")
-          .Kv("conn", conn_id)
-          .Kv("error", s.ToString());
-      ConnectionsDropped()->Increment();
-      return;
-    }
-    stages.Add(obs::RpcStage::kWrite, write_timer.ElapsedSeconds());
-    const uint64_t end_us = obs::TraceNowMicros();
-    RecordStages(stages, frame->trace.trace_id);
-    const double total_s = stages.s[static_cast<int>(obs::RpcStage::kRead)] + elapsed +
-                           stages.s[static_cast<int>(obs::RpcStage::kWrite)];
-    obs::FlightRecorder::Global().Record(obs::FlightEventType::kRpcEnd, frame->request_id,
-                                         static_cast<uint64_t>(total_s * 1e6), frame->type,
-                                         frame->trace.trace_id);
-    const bool errored = reply_type == static_cast<uint8_t>(MsgType::kErrorReply);
-    obs::TailSample sample;
-    sample.trace_id = frame->trace.trace_id;
-    sample.request_id = frame->request_id;
-    sample.rpc_type = frame->type;
-    sample.outcome = errored ? obs::TailOutcome::kError : obs::TailOutcome::kSlow;
-    sample.ok = !errored;
-    sample.conn_id = conn_id;
-    sample.end_us = end_us;
-    sample.total_s = total_s;
-    sample.stages = stages;
-    obs::TailSampler::Global().Offer(sample);
-    (void)begin_us;
-  }
-}
-
-void AuditServer::FillDebugCommon(DebugInfo* info) {
-  info->uptime_us = obs::TraceNowMicros() - start_us_.load(std::memory_order_relaxed);
-  info->mode = static_cast<uint8_t>(options_.mode);
-  std::vector<obs::FlightEvent> events = obs::FlightRecorder::Global().Snapshot();
-  constexpr size_t kMaxEvents = 128;
-  size_t first = events.size() > kMaxEvents ? events.size() - kMaxEvents : 0;
-  info->events.reserve(events.size() - first);
-  for (size_t i = first; i < events.size(); ++i) {
-    const obs::FlightEvent& e = events[i];
-    DebugFlightEvent out;
-    out.t_us = e.t_us;
-    out.trace_id = e.trace_id;
-    out.a = e.a;
-    out.b = e.b;
-    out.tid = e.tid;
-    out.type = static_cast<uint16_t>(e.type);
-    out.code = e.code;
-    info->events.push_back(out);
-  }
-  for (const obs::TailSample& s : obs::TailSampler::Global().TopSlowest(32)) {
-    DebugSlowRpc out;
-    out.trace_id = s.trace_id;
-    out.request_id = s.request_id;
-    out.rpc_type = s.rpc_type;
-    out.outcome = static_cast<uint8_t>(s.outcome);
-    out.ok = s.ok;
-    out.conn_id = s.conn_id;
-    out.end_us = s.end_us;
-    out.total_s = s.total_s;
-    for (int i = 0; i < obs::kRpcStageCount; ++i) out.stage_s[i] = s.stages.s[i];
-    info->slowest.push_back(out);
-  }
-}
 
 void AuditServer::HandleRequest(uint8_t type, const std::string& payload, uint8_t* reply_type,
                                 std::string* reply_payload, obs::RpcStageSeconds* stages) {
@@ -1203,20 +1066,6 @@ void AuditServer::HandleRequest(uint8_t type, const std::string& payload, uint8_
           obs::TraceNowMicros() - start_us_.load(std::memory_order_relaxed);
       *reply_type = static_cast<uint8_t>(MsgType::kHealthReply);
       *reply_payload = EncodeHealthStatus(health);
-      return;
-    }
-    case MsgType::kGetDebugInfo: {
-      // Threaded-mode answer: no per-shard/per-connection detail (the
-      // reactor intercepts this type before admission control and runs the
-      // cross-shard gather instead of reaching here).
-      WallTimer compute_timer;
-      DebugInfo info;
-      FillDebugCommon(&info);
-      AddStage(stages, obs::RpcStage::kCompute, compute_timer);
-      WallTimer encode_timer;
-      *reply_type = static_cast<uint8_t>(MsgType::kDebugInfoReply);
-      *reply_payload = EncodeDebugInfo(info);
-      AddStage(stages, obs::RpcStage::kEncode, encode_timer);
       return;
     }
     case MsgType::kImportDepDb: {

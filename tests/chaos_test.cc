@@ -1,5 +1,5 @@
 // Chaos matrix (ctest label `chaos`): every fault class of the seeded
-// injection engine (src/net/chaos.h) runs against both server modes and
+// injection engine (src/net/chaos.h) runs against the audit server and
 // against degraded-capable P-SOP rings. The contract under test is the
 // robustness invariant, not any particular failure: within bounded time
 // every operation must end in a full correct result, a correctly-marked
@@ -19,7 +19,7 @@
 #include "src/net/frame.h"
 #include "src/net/socket.h"
 #include "src/pia/psop.h"
-#include "src/svc/client.h"
+#include "src/svc/mux_client.h"
 #include "src/svc/pia_peer.h"
 #include "src/svc/proto.h"
 #include "src/svc/server.h"
@@ -188,19 +188,15 @@ TEST(FaultPlanTest, SameSeedSameOperationsSameFaultSchedule) {
   EXPECT_FALSE(first.empty());
 }
 
-// --- Fault class x server mode x audit RPC ---
+// --- Fault class x audit RPC ---
 
-class ChaosRpcMatrix
-    : public ::testing::TestWithParam<std::tuple<const char*, ServerMode>> {};
+class ChaosRpcMatrix : public ::testing::TestWithParam<const char*> {};
 
 TEST_P(ChaosRpcMatrix, AuditRpcEndsInResultOrTypedError) {
-  const std::string fault = std::get<0>(GetParam());
-  const ServerMode mode = std::get<1>(GetParam());
+  const std::string fault = GetParam();
 
   AuditServerOptions options;
-  options.mode = mode;
   options.worker_threads = 2;
-  options.io_timeout_ms = 1000;
   options.read_deadline_ms = 1000;
   AuditServer server(options);
   ASSERT_TRUE(server.agent().depdb().ImportText(TestDepDbText()).ok());
@@ -223,14 +219,13 @@ TEST_P(ChaosRpcMatrix, AuditRpcEndsInResultOrTypedError) {
   int full_results = 0;
   int typed_errors = 0;
   for (int i = 0; i < 6; ++i) {
-    AuditClientOptions client_options;
+    MuxClientOptions client_options;
     client_options.connect_timeout_ms = 500;
     client_options.io_timeout_ms = 1500;
-    client_options.rpc_attempts = 2;
     client_options.retry.max_attempts = 2;
     client_options.retry.initial_backoff_s = 0.01;
     client_options.retry.max_backoff_s = 0.05;
-    auto client = AuditClient::Connect(endpoint, client_options);
+    auto client = MuxAuditClient::Connect(endpoint, client_options);
     if (!client.ok()) {
       EXPECT_TRUE(CleanTypedErrorFor(fault, client.status()))
           << client.status().ToString();
@@ -260,15 +255,10 @@ TEST_P(ChaosRpcMatrix, AuditRpcEndsInResultOrTypedError) {
   server.Stop();
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    AllFaultsBothModes, ChaosRpcMatrix,
-    ::testing::Combine(::testing::ValuesIn(kFaultClasses),
-                       ::testing::Values(ServerMode::kReactor,
-                                         ServerMode::kThreadPerRequest)),
-    [](const ::testing::TestParamInfo<ChaosRpcMatrix::ParamType>& info) {
-      return std::string(std::get<0>(info.param)) +
-             (std::get<1>(info.param) == ServerMode::kReactor ? "_reactor" : "_threaded");
-    });
+INSTANTIATE_TEST_SUITE_P(AllFaults, ChaosRpcMatrix, ::testing::ValuesIn(kFaultClasses),
+                         [](const ::testing::TestParamInfo<const char*>& info) {
+                           return std::string(info.param);
+                         });
 
 // --- Fault class x degraded-capable rings ---
 
@@ -502,10 +492,7 @@ TEST(AdaptiveAdmissionTest, ShedsUnderStandingQueueThenRecovers) {
   std::vector<std::thread> drivers;
   for (int t = 0; t < 4; ++t) {
     drivers.emplace_back([&] {
-      AuditClientOptions client_options;
-      client_options.rpc_attempts = 1;
-      auto client = AuditClient::Connect(net::Endpoint{"127.0.0.1", server.port()},
-                                         client_options);
+      auto client = MuxAuditClient::Connect(net::Endpoint{"127.0.0.1", server.port()});
       if (!client.ok()) {
         ++unexpected;
         return;
@@ -534,10 +521,7 @@ TEST(AdaptiveAdmissionTest, ShedsUnderStandingQueueThenRecovers) {
   // Idle windows decay the level back to zero: after a quiet second a
   // cheap request must be admitted again.
   std::this_thread::sleep_for(std::chrono::milliseconds(1200));
-  AuditClientOptions client_options;
-  client_options.rpc_attempts = 1;
-  auto client =
-      AuditClient::Connect(net::Endpoint{"127.0.0.1", server.port()}, client_options);
+  auto client = MuxAuditClient::Connect(net::Endpoint{"127.0.0.1", server.port()});
   ASSERT_TRUE(client.ok());
   auto after = client->AuditStructural(TestSpec());
   EXPECT_TRUE(after.ok()) << after.status().ToString();

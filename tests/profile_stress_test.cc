@@ -23,7 +23,7 @@
 #include "src/obs/metrics.h"
 #include "src/obs/profiler.h"
 #include "src/pia/psop.h"
-#include "src/svc/client.h"
+#include "src/svc/mux_client.h"
 #include "src/svc/pia_peer.h"
 #include "src/svc/proto.h"
 #include "src/svc/server.h"
@@ -165,12 +165,12 @@ TEST(ProfileStressTest, ServerUnderStormKeepsAnsweringAndCapturing) {
   options.worker_threads = 2;
   AuditServer server(options);
   ASSERT_TRUE(server.Start().ok());
-  auto client = AuditClient::Connect(net::Endpoint{"127.0.0.1", server.port()});
+  auto client = MuxAuditClient::Connect(net::Endpoint{"127.0.0.1", server.port()});
   ASSERT_TRUE(client.ok()) << client.status().ToString();
 
   std::atomic<bool> done{false};
   std::thread load([&] {
-    auto worker = AuditClient::Connect(net::Endpoint{"127.0.0.1", server.port()});
+    auto worker = MuxAuditClient::Connect(net::Endpoint{"127.0.0.1", server.port()});
     ASSERT_TRUE(worker.ok());
     while (!done.load()) {
       ASSERT_TRUE(worker->Ping().ok());

@@ -20,7 +20,6 @@
 #include "src/obs/propagate.h"
 #include "src/obs/trace.h"
 #include "src/pia/psop.h"
-#include "src/svc/client.h"
 #include "src/svc/mux_client.h"
 #include "src/svc/pia_peer.h"
 #include "src/svc/proto.h"
@@ -356,7 +355,6 @@ TEST(ProtoTest, HealthStatusRoundTrip) {
 TEST(ProtoTest, DebugInfoRoundTrip) {
   DebugInfo info;
   info.uptime_us = 123456789;
-  info.mode = 1;
   info.reactor_shards = 4;
   info.inflight_global = 17;
   DebugShard shard;
@@ -399,7 +397,6 @@ TEST(ProtoTest, DebugInfoRoundTrip) {
   auto decoded = DecodeDebugInfo(full);
   ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
   EXPECT_EQ(decoded->uptime_us, info.uptime_us);
-  EXPECT_EQ(decoded->mode, info.mode);
   EXPECT_EQ(decoded->reactor_shards, info.reactor_shards);
   EXPECT_EQ(decoded->inflight_global, info.inflight_global);
   ASSERT_EQ(decoded->shards.size(), 1u);
@@ -487,7 +484,7 @@ TEST(ProtoTest, ProfileReplyRoundTrip) {
   EXPECT_FALSE(DecodeProfileReply(full + "x").ok());
 }
 
-// --- AuditServer / AuditClient end-to-end (loopback) ---
+// --- AuditServer / MuxAuditClient end-to-end (loopback) ---
 
 TEST(AuditServerTest, PingImportAuditRoundTrip) {
   AuditServerOptions options;
@@ -495,7 +492,7 @@ TEST(AuditServerTest, PingImportAuditRoundTrip) {
   AuditServer server(options);
   ASSERT_TRUE(server.Start().ok());
 
-  auto client = AuditClient::Connect(net::Endpoint{"127.0.0.1", server.port()});
+  auto client = MuxAuditClient::Connect(net::Endpoint{"127.0.0.1", server.port()});
   ASSERT_TRUE(client.ok()) << client.status().ToString();
   EXPECT_TRUE(client->Ping().ok());
 
@@ -530,7 +527,7 @@ TEST(AuditServerTest, PingImportAuditRoundTrip) {
 TEST(AuditServerTest, RemotePiaAudit) {
   AuditServer server;
   ASSERT_TRUE(server.Start().ok());
-  auto client = AuditClient::Connect(net::Endpoint{"127.0.0.1", server.port()});
+  auto client = MuxAuditClient::Connect(net::Endpoint{"127.0.0.1", server.port()});
   ASSERT_TRUE(client.ok());
   std::vector<CloudProvider> providers = {{"CloudA", {"net:tor1", "net:core1", "hw:x"}},
                                           {"CloudB", {"net:tor2", "net:core1", "hw:x"}},
@@ -555,7 +552,7 @@ TEST(AuditServerTest, RemotePiaAudit) {
 TEST(AuditServerTest, BadRequestGetsErrorReplyAndConnectionSurvives) {
   AuditServer server;
   ASSERT_TRUE(server.Start().ok());
-  auto client = AuditClient::Connect(net::Endpoint{"127.0.0.1", server.port()});
+  auto client = MuxAuditClient::Connect(net::Endpoint{"127.0.0.1", server.port()});
   ASSERT_TRUE(client.ok());
   AuditSpecification empty_spec;  // no deployments: the agent must reject it
   auto report = client->AuditStructural(empty_spec);
@@ -572,7 +569,7 @@ TEST(AuditServerTest, ConcurrentClients) {
   AuditServer server(options);
   ASSERT_TRUE(server.Start().ok());
   {
-    auto seed_client = AuditClient::Connect(net::Endpoint{"127.0.0.1", server.port()});
+    auto seed_client = MuxAuditClient::Connect(net::Endpoint{"127.0.0.1", server.port()});
     ASSERT_TRUE(seed_client.ok());
     ASSERT_TRUE(seed_client->ImportDepDb(TestDepDbText()).ok());
   }
@@ -583,7 +580,7 @@ TEST(AuditServerTest, ConcurrentClients) {
   threads.reserve(kClients);
   for (int c = 0; c < kClients; ++c) {
     threads.emplace_back([&, c] {
-      auto client = AuditClient::Connect(net::Endpoint{"127.0.0.1", server.port()});
+      auto client = MuxAuditClient::Connect(net::Endpoint{"127.0.0.1", server.port()});
       if (!client.ok()) {
         ++failures;
         return;
@@ -638,7 +635,7 @@ const obs::Histogram::Snapshot* FindHistogram(const obs::MetricsSnapshot& snapsh
 TEST(AuditServerTest, StatsAndHealthEndToEnd) {
   AuditServer server;
   ASSERT_TRUE(server.Start().ok());
-  auto client = AuditClient::Connect(net::Endpoint{"127.0.0.1", server.port()});
+  auto client = MuxAuditClient::Connect(net::Endpoint{"127.0.0.1", server.port()});
   ASSERT_TRUE(client.ok()) << client.status().ToString();
 
   auto health = client->Health();
@@ -713,7 +710,7 @@ TEST(AuditServerTest, TracePropagatesClientToServer) {
   {
     // The ambient context seeds the client's trace id at Connect.
     obs::ScopedTraceContext ambient(obs::TraceContext{trace_id, 0});
-    auto client = AuditClient::Connect(net::Endpoint{"127.0.0.1", server.port()});
+    auto client = MuxAuditClient::Connect(net::Endpoint{"127.0.0.1", server.port()});
     ASSERT_TRUE(client.ok());
     EXPECT_EQ(client->trace_id(), trace_id);
     ASSERT_TRUE(client->Ping().ok());
@@ -739,26 +736,7 @@ TEST(AuditServerTest, TracePropagatesClientToServer) {
   EXPECT_EQ(server_span->remote_parent, obs::WireSpanId(client_span->id));
 }
 
-// --- Reactor mode, pipelining, and admission control ---
-
-TEST(AuditServerTest, ThreadedModeStillServes) {
-  // The pre-reactor baseline stays a first-class mode (bench_svc_saturation
-  // A/Bs against it), so it gets the same end-to-end coverage.
-  AuditServerOptions options;
-  options.mode = ServerMode::kThreadPerRequest;
-  options.worker_threads = 2;
-  AuditServer server(options);
-  ASSERT_TRUE(server.Start().ok());
-  EXPECT_EQ(server.reactor_shards(), 0u);
-  auto client = AuditClient::Connect(net::Endpoint{"127.0.0.1", server.port()});
-  ASSERT_TRUE(client.ok()) << client.status().ToString();
-  EXPECT_TRUE(client->Ping().ok());
-  ASSERT_TRUE(client->ImportDepDb(TestDepDbText()).ok());
-  auto report = client->AuditStructural(TestSpec());
-  ASSERT_TRUE(report.ok()) << report.status().ToString();
-  EXPECT_EQ(report->deployments.size(), 2u);
-  server.Stop();
-}
+// --- Reactor, pipelining, and admission control ---
 
 // The reactor finalizes an RPC (tail-sampler offer included) right after its
 // reply bytes reach the kernel, so a client can observe the reply a beat
@@ -780,7 +758,7 @@ TEST(AuditServerTest, TailSamplerKeepsErroredAndSlowButNotFastRpcs) {
     options.slow_rpc_threshold_s = 3600.0;  // nothing qualifies as slow
     AuditServer server(options);
     ASSERT_TRUE(server.Start().ok());  // Start() reconfigures (clears) the sampler
-    auto client = AuditClient::Connect(net::Endpoint{"127.0.0.1", server.port()});
+    auto client = MuxAuditClient::Connect(net::Endpoint{"127.0.0.1", server.port()});
     ASSERT_TRUE(client.ok());
     ASSERT_TRUE(client->Ping().ok());  // fast + ok: must not be retained
     AuditSpecification empty_spec;  // agent rejects it -> errored RPC
@@ -799,7 +777,7 @@ TEST(AuditServerTest, TailSamplerKeepsErroredAndSlowButNotFastRpcs) {
     options.slow_rpc_threshold_s = 1e-9;  // every finished RPC is "slow"
     AuditServer server(options);
     ASSERT_TRUE(server.Start().ok());
-    auto client = AuditClient::Connect(net::Endpoint{"127.0.0.1", server.port()});
+    auto client = MuxAuditClient::Connect(net::Endpoint{"127.0.0.1", server.port()});
     ASSERT_TRUE(client.ok());
     ASSERT_TRUE(client->ImportDepDb(TestDepDbText()).ok());
     ASSERT_TRUE(client->AuditStructural(TestSpec()).ok());
@@ -825,12 +803,11 @@ TEST(AuditServerTest, GetDebugInfoReactorEndToEnd) {
   options.reactor_shards = 2;
   AuditServer server(options);
   ASSERT_TRUE(server.Start().ok());
-  auto client = AuditClient::Connect(net::Endpoint{"127.0.0.1", server.port()});
+  auto client = MuxAuditClient::Connect(net::Endpoint{"127.0.0.1", server.port()});
   ASSERT_TRUE(client.ok());
   ASSERT_TRUE(client->Ping().ok());
   auto info = client->GetDebugInfo();
   ASSERT_TRUE(info.ok()) << info.status().ToString();
-  EXPECT_EQ(info->mode, static_cast<uint8_t>(ServerMode::kReactor));
   EXPECT_EQ(info->reactor_shards, 2u);
   EXPECT_GT(info->uptime_us, 0u);
   ASSERT_EQ(info->shards.size(), 2u);  // one entry per shard, gathered live
@@ -848,34 +825,12 @@ TEST(AuditServerTest, GetDebugInfoReactorEndToEnd) {
   server.Stop();
 }
 
-TEST(AuditServerTest, GetDebugInfoThreadedMode) {
-  AuditServerOptions options;
-  options.mode = ServerMode::kThreadPerRequest;
-  options.worker_threads = 2;
-  AuditServer server(options);
-  ASSERT_TRUE(server.Start().ok());
-  auto client = AuditClient::Connect(net::Endpoint{"127.0.0.1", server.port()});
-  ASSERT_TRUE(client.ok());
-  ASSERT_TRUE(client->Ping().ok());
-  auto info = client->GetDebugInfo();
-  ASSERT_TRUE(info.ok()) << info.status().ToString();
-  EXPECT_EQ(info->mode, static_cast<uint8_t>(ServerMode::kThreadPerRequest));
-  EXPECT_EQ(info->reactor_shards, 0u);
-  // Per-shard / per-connection detail is a reactor feature; the threaded
-  // baseline still answers with uptime, events, and tail samples.
-  EXPECT_TRUE(info->shards.empty());
-  EXPECT_TRUE(info->connections.empty());
-  EXPECT_GT(info->uptime_us, 0u);
-  EXPECT_FALSE(info->events.empty());
-  server.Stop();
-}
-
 TEST(AuditServerTest, GetProfileEndToEnd) {
   AuditServerOptions options;
   options.worker_threads = 2;
   AuditServer server(options);
   ASSERT_TRUE(server.Start().ok());
-  auto client = AuditClient::Connect(net::Endpoint{"127.0.0.1", server.port()});
+  auto client = MuxAuditClient::Connect(net::Endpoint{"127.0.0.1", server.port()});
   ASSERT_TRUE(client.ok()) << client.status().ToString();
   ASSERT_TRUE(client->ImportDepDb(TestDepDbText()).ok());
 
@@ -883,7 +838,7 @@ TEST(AuditServerTest, GetProfileEndToEnd) {
   // pool worker not blocked inside GetProfile has CPU-visible work.
   std::atomic<bool> done{false};
   std::thread load([&] {
-    auto worker = AuditClient::Connect(net::Endpoint{"127.0.0.1", server.port()});
+    auto worker = MuxAuditClient::Connect(net::Endpoint{"127.0.0.1", server.port()});
     ASSERT_TRUE(worker.ok());
     while (!done.load()) {
       ASSERT_TRUE(worker->AuditStructural(TestSpec()).ok());
@@ -935,7 +890,7 @@ TEST(AuditServerTest, ContinuousProfilingServesWindows) {
   AuditServer server(options);
   ASSERT_TRUE(server.Start().ok());
   ASSERT_TRUE(obs::Profiler::Global().running());
-  auto client = AuditClient::Connect(net::Endpoint{"127.0.0.1", server.port()});
+  auto client = MuxAuditClient::Connect(net::Endpoint{"127.0.0.1", server.port()});
   ASSERT_TRUE(client.ok());
 
   ProfileRequest request;
@@ -1151,6 +1106,154 @@ TEST(MuxClientTest, StalePooledConnectionRevivedAfterServerSideClose) {
   fake_server.join();
 }
 
+TEST(MuxClientTest, ShutdownRacingAReplayReviveIsClean) {
+  // The server reads one ping and hangs up 200 ms later; the client shuts
+  // down right after. The reader's replay of the orphaned ping (reconnect
+  // included) races Shutdown. Each request must complete exactly once and
+  // no reader thread may outlive the client. Looped: the race is timing
+  // dependent.
+  for (int round = 0; round < 20; ++round) {
+    auto listener = net::TcpListen(0);
+    ASSERT_TRUE(listener.ok());
+    auto port = listener->LocalPort();
+    ASSERT_TRUE(port.ok());
+    std::thread fake_server([&] {
+      auto conn = net::TcpAccept(*listener, 5000);
+      ASSERT_TRUE(conn.ok());
+      ASSERT_TRUE(net::ReadFrame(*conn, net::FrameLimits{}, 5000).ok());
+      std::this_thread::sleep_for(std::chrono::milliseconds(200));
+    });
+    MuxClientOptions options;
+    options.retry.max_attempts = 1;
+    auto client = MuxAuditClient::Connect(net::Endpoint{"127.0.0.1", *port}, options);
+    ASSERT_TRUE(client.ok()) << client.status().ToString();
+    auto completions = std::make_shared<std::atomic<int>>(0);
+    client->AsyncCall(MsgType::kPing, "", MsgType::kPong,
+                      [completions](Result<net::Frame>) { completions->fetch_add(1); });
+    fake_server.join();
+    client->Shutdown();
+    EXPECT_EQ(completions->load(), 1) << "round " << round;
+  }
+}
+
+TEST(MuxClientTest, UnansweredRequestMeetsItsDeadlineWhileRepliesFlow) {
+  // A server that answers every ping but never the audit. The audit must
+  // end in kDeadlineExceeded after io_timeout_ms even though pong replies
+  // keep the connection busy; its late reply, sent afterwards, must be
+  // dropped without pairing it or poisoning the connection.
+  auto listener = net::TcpListen(0);
+  ASSERT_TRUE(listener.ok());
+  auto port = listener->LocalPort();
+  ASSERT_TRUE(port.ok());
+  std::thread fake_server([&] {
+    auto conn = net::TcpAccept(*listener, 5000);
+    ASSERT_TRUE(conn.ok());
+    uint64_t audit_id = 0;
+    while (true) {
+      auto frame = net::ReadFrame(*conn, net::FrameLimits{}, 10000);
+      if (!frame.ok()) {
+        return;  // the client hung up
+      }
+      if (frame->type == static_cast<uint8_t>(MsgType::kAuditRequest)) {
+        audit_id = frame->request_id;
+        continue;
+      }
+      if (frame->payload == "late" && audit_id != 0) {
+        ASSERT_TRUE(net::WriteFrame(*conn, static_cast<uint8_t>(MsgType::kAuditReport),
+                                    "stale", 2000, {}, audit_id)
+                        .ok());
+      }
+      ASSERT_TRUE(net::WriteFrame(*conn, static_cast<uint8_t>(MsgType::kPong),
+                                  frame->payload, 2000, {}, frame->request_id)
+                      .ok());
+    }
+  });
+
+  const uint64_t failures_before = CounterValue(
+      obs::MetricsRegistry::Global().Snapshot(), "svc.client.mux_conn_failures");
+  MuxClientOptions options;
+  options.io_timeout_ms = 500;
+  auto client = MuxAuditClient::Connect(net::Endpoint{"127.0.0.1", *port}, options);
+  ASSERT_TRUE(client.ok()) << client.status().ToString();
+
+  struct Outcome {
+    std::mutex mu;
+    std::condition_variable cv;
+    bool done = false;
+    Status status;
+    double seconds = 0;
+  };
+  auto outcome = std::make_shared<Outcome>();
+  WallTimer timer;
+  client->AsyncCall(MsgType::kAuditRequest, EncodeAuditSpecification(TestSpec()),
+                    MsgType::kAuditReport, [outcome, timer](Result<net::Frame> reply) {
+                      std::lock_guard<std::mutex> lock(outcome->mu);
+                      outcome->done = true;
+                      outcome->status = reply.status();
+                      outcome->seconds = timer.ElapsedSeconds();
+                      outcome->cv.notify_all();
+                    });
+  // Pings every 20 ms keep replies arriving past the audit's deadline.
+  while (timer.ElapsedSeconds() < 1.0) {
+    ASSERT_TRUE(client->Ping().ok());
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  }
+  {
+    std::unique_lock<std::mutex> lock(outcome->mu);
+    ASSERT_TRUE(outcome->cv.wait_for(lock, std::chrono::seconds(5),
+                                     [&] { return outcome->done; }))
+        << "the unanswered audit never completed";
+    EXPECT_EQ(outcome->status.code(), StatusCode::kDeadlineExceeded)
+        << outcome->status.ToString();
+    EXPECT_GE(outcome->seconds, 0.5);
+    EXPECT_LT(outcome->seconds, 0.9);
+  }
+  // The late audit reply arrives just ahead of this pong and is dropped.
+  auto late = client->Call(MsgType::kPing, "late", MsgType::kPong);
+  ASSERT_TRUE(late.ok()) << late.status().ToString();
+  EXPECT_EQ(late->payload, "late");
+  EXPECT_TRUE(client->Ping().ok());
+  EXPECT_EQ(CounterValue(obs::MetricsRegistry::Global().Snapshot(),
+                         "svc.client.mux_conn_failures"),
+            failures_before);
+  client->Shutdown();
+  fake_server.join();
+}
+
+TEST(MuxClientTest, GetProfileIsNeverReplayed) {
+  // The connection carrying a GetProfile resets. Replaying it would double
+  // the caller's wait and race the capture still running server-side, so
+  // the error surfaces and svc.client.mux_replays stays put.
+  auto listener = net::TcpListen(0);
+  ASSERT_TRUE(listener.ok());
+  auto port = listener->LocalPort();
+  ASSERT_TRUE(port.ok());
+  std::thread fake_server([&] {
+    auto conn = net::TcpAccept(*listener, 5000);
+    ASSERT_TRUE(conn.ok());
+    auto frame = net::ReadFrame(*conn, net::FrameLimits{}, 5000);
+    ASSERT_TRUE(frame.ok()) << frame.status().ToString();
+    EXPECT_EQ(frame->type, static_cast<uint8_t>(MsgType::kGetProfile));
+    listener->Close();  // a replay's reconnect would be refused
+  });
+  const uint64_t replays_before =
+      CounterValue(obs::MetricsRegistry::Global().Snapshot(), "svc.client.mux_replays");
+  MuxClientOptions options;
+  options.io_timeout_ms = 1000;
+  options.retry.max_attempts = 1;
+  auto client = MuxAuditClient::Connect(net::Endpoint{"127.0.0.1", *port}, options);
+  ASSERT_TRUE(client.ok()) << client.status().ToString();
+  ProfileRequest request;
+  request.hz = 99;
+  request.seconds = 1;
+  auto reply = client->GetProfile(request);
+  fake_server.join();
+  EXPECT_FALSE(reply.ok());
+  EXPECT_EQ(CounterValue(obs::MetricsRegistry::Global().Snapshot(), "svc.client.mux_replays"),
+            replays_before);
+  client->Shutdown();
+}
+
 TEST(AuditServerTest, ShedsLoadBeyondInflightCapWithUnavailable) {
   // Cap the per-connection window at 1, then fire a burst of pipelined
   // audits in a single write. The whole burst parses inside one read
@@ -1163,7 +1266,7 @@ TEST(AuditServerTest, ShedsLoadBeyondInflightCapWithUnavailable) {
   AuditServer server(options);
   ASSERT_TRUE(server.Start().ok());
   {
-    auto seed_client = AuditClient::Connect(net::Endpoint{"127.0.0.1", server.port()});
+    auto seed_client = MuxAuditClient::Connect(net::Endpoint{"127.0.0.1", server.port()});
     ASSERT_TRUE(seed_client.ok());
     ASSERT_TRUE(seed_client->ImportDepDb(TestDepDbText()).ok());
   }
@@ -1235,7 +1338,7 @@ TEST(AuditServerTest, IdleConnectionSurvivesReadDeadline) {
   options.read_deadline_ms = 100;
   AuditServer server(options);
   ASSERT_TRUE(server.Start().ok());
-  auto client = AuditClient::Connect(net::Endpoint{"127.0.0.1", server.port()});
+  auto client = MuxAuditClient::Connect(net::Endpoint{"127.0.0.1", server.port()});
   ASSERT_TRUE(client.ok());
   ASSERT_TRUE(client->Ping().ok());
   std::this_thread::sleep_for(std::chrono::milliseconds(300));  // 3× the deadline

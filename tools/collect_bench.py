@@ -169,7 +169,7 @@ def collect_sketch_allpairs(build, workdir):
 
 
 def collect_svc_rpc(build, workdir):
-    """bench_svc_rpc: serial client RPC latency (ping and structural audit).
+    """bench_svc_rpc: sequential RPC latency (ping and structural audit).
 
     Runs the same RPC mix twice — profiler off, then sampling at the
     production default of 99 Hz — so every snapshot carries the measured
@@ -220,19 +220,17 @@ def collect_svc_saturation(build, workdir):
             "config": doc["pipelining"],
         },
     }
-    for run in doc["sustained"]:
-        name = f"svc_saturation/{run['mode']}_c{run['conns']}"
-        snapshot[name] = {
-            "p50_seconds": run["p50_ms"] / 1e3,
-            "bytes": 0,
-            "config": {
-                "mode": run["mode"],
-                "conns": run["conns"],
-                "sustained": run["sustained"],
-                "completed": run["completed"],
-                "p99_ms": run["p99_ms"],
-            },
-        }
+    run = doc["sustained"]
+    snapshot[f"svc_saturation/reactor_c{run['conns']}"] = {
+        "p50_seconds": run["p50_ms"] / 1e3,
+        "bytes": 0,
+        "config": {
+            "conns": run["conns"],
+            "sustained": run["sustained"],
+            "completed": run["completed"],
+            "p99_ms": run["p99_ms"],
+        },
+    }
     for run in doc["open_loop"]:
         name = f"svc_saturation/openloop_r{run['rate']:.0f}"
         snapshot[name] = {
