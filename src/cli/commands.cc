@@ -35,7 +35,6 @@
 #include "src/topology/fat_tree.h"
 #include "src/util/file.h"
 #include "src/util/flags.h"
-#include "src/util/logging.h"
 #include "src/util/strings.h"
 
 namespace indaas {
@@ -990,13 +989,13 @@ int RunCli(int argc, char** argv) {
     } else if (StartsWith(arg, "--log-level=")) {
       std::string_view value = arg.substr(12);
       if (value == "debug") {
-        SetLogLevel(LogLevel::kDebug);
+        obs::Logger::Global().SetMinSeverity(obs::LogSeverity::kDebug);
       } else if (value == "info") {
-        SetLogLevel(LogLevel::kInfo);
+        obs::Logger::Global().SetMinSeverity(obs::LogSeverity::kInfo);
       } else if (value == "warning") {
-        SetLogLevel(LogLevel::kWarning);
+        obs::Logger::Global().SetMinSeverity(obs::LogSeverity::kWarn);
       } else if (value == "error") {
-        SetLogLevel(LogLevel::kError);
+        obs::Logger::Global().SetMinSeverity(obs::LogSeverity::kError);
       } else {
         std::fprintf(stderr, "bad --log-level '%s' (debug | info | warning | error)\n",
                      std::string(value).c_str());

@@ -101,88 +101,44 @@ FlightRecorder& FlightRecorder::Global() {
 }
 
 FlightRecorder::ThreadRingHolder::~ThreadRingHolder() {
-  if (ring != nullptr) ring->in_use.store(false, std::memory_order_release);
-}
-
-FlightRecorder::Ring* FlightRecorder::AcquireRing() {
-  for (size_t i = 0; i < kMaxRings; ++i) {
-    Ring* existing = rings_[i].load(std::memory_order_acquire);
-    if (existing != nullptr) {
-      bool free_ring = false;
-      if (existing->in_use.compare_exchange_strong(free_ring, true,
-                                                   std::memory_order_acq_rel)) {
-        return existing;  // adopted a parked ring from an exited thread
-      }
-      continue;
-    }
-    Ring* fresh = new Ring();
-    fresh->in_use.store(true, std::memory_order_relaxed);
-    Ring* expected = nullptr;
-    if (rings_[i].compare_exchange_strong(expected, fresh, std::memory_order_acq_rel)) {
-      ring_count_.fetch_add(1, std::memory_order_relaxed);
-      return fresh;
-    }
-    delete fresh;
-    --i;  // slot was filled concurrently; try to adopt it
-  }
-  return nullptr;  // kMaxRings live threads — stop recording on this one
-}
-
-FlightRecorder::Ring* FlightRecorder::ThreadRing() {
-  static thread_local ThreadRingHolder holder;
-  if (holder.ring == nullptr) holder.ring = AcquireRing();
-  return holder.ring;
+  if (entry != nullptr) RingRegistry::Park(entry);
 }
 
 void FlightRecorder::Record(FlightEventType type, uint64_t a, uint64_t b, uint16_t code,
                             uint64_t trace_id) {
   if (!enabled_.load(std::memory_order_relaxed)) return;
-  Ring* ring = ThreadRing();
-  if (ring == nullptr) return;
-  // Single writer per ring (the owning thread), so head needs no RMW.
-  const uint64_t seq = ring->head.load(std::memory_order_relaxed);
-  Slot& slot = ring->slots[seq % kRingCapacity];
-  slot.t_us.store(TraceNowMicros(), std::memory_order_relaxed);
-  slot.trace_id.store(trace_id, std::memory_order_relaxed);
-  slot.a.store(a, std::memory_order_relaxed);
-  slot.b.store(b, std::memory_order_relaxed);
+  static thread_local ThreadRingHolder holder;
+  if (holder.entry == nullptr) {
+    holder.entry = rings_.Acquire();
+    if (holder.entry == nullptr) return;  // kMaxRings live threads: stay silent
+  }
   const uint64_t meta = (static_cast<uint64_t>(TraceThreadId()) << 32) |
                         (static_cast<uint64_t>(type) << 16) | code;
-  slot.meta.store(meta, std::memory_order_relaxed);
-  ring->head.store(seq + 1, std::memory_order_release);
+  holder.entry->ring.Publish({TraceNowMicros(), trace_id, a, b, meta});
 }
 
-void FlightRecorder::CopyRing(const Ring& ring, std::vector<FlightEvent>* out) {
-  const uint64_t head = ring.head.load(std::memory_order_acquire);
-  const uint64_t begin = head > kRingCapacity ? head - kRingCapacity : 0;
-  for (uint64_t seq = begin; seq < head; ++seq) {
-    const Slot& slot = ring.slots[seq % kRingCapacity];
-    FlightEvent event;
-    event.t_us = slot.t_us.load(std::memory_order_relaxed);
-    event.trace_id = slot.trace_id.load(std::memory_order_relaxed);
-    event.a = slot.a.load(std::memory_order_relaxed);
-    event.b = slot.b.load(std::memory_order_relaxed);
-    const uint64_t meta = slot.meta.load(std::memory_order_relaxed);
-    // Revalidate: once head reaches seq + kRingCapacity the writer has
-    // started (not necessarily finished — head publishes after the slot
-    // stores) overwriting this slot, so the copy may be mixed. >= and not
-    // >: at head == seq + kRingCapacity the overwrite is already in flight.
-    if (ring.head.load(std::memory_order_acquire) >= seq + kRingCapacity) continue;
-    if (meta == 0) continue;
-    event.tid = static_cast<uint32_t>(meta >> 32);
-    event.type = static_cast<FlightEventType>((meta >> 16) & 0xffff);
-    event.code = static_cast<uint16_t>(meta & 0xffff);
-    out->push_back(event);
-  }
+template <typename Fn>
+void FlightRecorder::ForEachEvent(Fn&& fn) const {
+  rings_.ForEach([&fn](const ThreadRing& entry) {
+    entry.ring.Read(0, [&fn](const EventRing::Words& words) {
+      const uint64_t meta = words[4];
+      if (meta == 0) return;
+      FlightEvent event;
+      event.t_us = words[0];
+      event.trace_id = words[1];
+      event.a = words[2];
+      event.b = words[3];
+      event.tid = static_cast<uint32_t>(meta >> 32);
+      event.type = static_cast<FlightEventType>((meta >> 16) & 0xffff);
+      event.code = static_cast<uint16_t>(meta & 0xffff);
+      fn(event);
+    });
+  });
 }
 
 std::vector<FlightEvent> FlightRecorder::Snapshot() const {
   std::vector<FlightEvent> out;
-  for (size_t i = 0; i < kMaxRings; ++i) {
-    const Ring* ring = rings_[i].load(std::memory_order_acquire);
-    if (ring == nullptr) break;  // rings are filled left to right
-    CopyRing(*ring, &out);
-  }
+  ForEachEvent([&out](const FlightEvent& event) { out.push_back(event); });
   std::stable_sort(out.begin(), out.end(),
                    [](const FlightEvent& x, const FlightEvent& y) { return x.t_us < y.t_us; });
   return out;
@@ -201,29 +157,9 @@ std::string FlightRecorder::DumpText() const {
 void FlightRecorder::DumpToFd(int fd) const {
   WriteAll(fd, kDumpHeader, sizeof(kDumpHeader) - 1);
   char line[8 * 24];
-  for (size_t i = 0; i < kMaxRings; ++i) {
-    const Ring* ring = rings_[i].load(std::memory_order_acquire);
-    if (ring == nullptr) break;
-    const uint64_t head = ring->head.load(std::memory_order_acquire);
-    const uint64_t begin = head > kRingCapacity ? head - kRingCapacity : 0;
-    for (uint64_t seq = begin; seq < head; ++seq) {
-      const Slot& slot = ring->slots[seq % kRingCapacity];
-      FlightEvent event;
-      event.t_us = slot.t_us.load(std::memory_order_relaxed);
-      event.trace_id = slot.trace_id.load(std::memory_order_relaxed);
-      event.a = slot.a.load(std::memory_order_relaxed);
-      event.b = slot.b.load(std::memory_order_relaxed);
-      const uint64_t meta = slot.meta.load(std::memory_order_relaxed);
-      // The same lap check as CopyRing (>= there for the same reason); keep
-      // the two copies identical.
-      if (ring->head.load(std::memory_order_acquire) >= seq + kRingCapacity) continue;
-      if (meta == 0) continue;
-      event.tid = static_cast<uint32_t>(meta >> 32);
-      event.type = static_cast<FlightEventType>((meta >> 16) & 0xffff);
-      event.code = static_cast<uint16_t>(meta & 0xffff);
-      WriteAll(fd, line, FormatEventLine(event, line));
-    }
-  }
+  ForEachEvent([fd, &line](const FlightEvent& event) {
+    WriteAll(fd, line, FormatEventLine(event, line));
+  });
   WriteAll(fd, line, FormatEventLine(DumpMarkerEvent(), line));
 }
 

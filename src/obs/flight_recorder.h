@@ -4,21 +4,19 @@
 // for an X that already happened — a crash, a shed storm, a stalled
 // connection. Each thread owns a fixed-size ring of 40-byte structured
 // events (accept, shed, slow-reader drop, read deadline, RPC begin/end,
-// loop lag...) written with a handful of relaxed atomic stores; recording
+// loop lag...) written with five word stores and one head publish; recording
 // an event never takes a lock, never allocates, and never blocks, which is
 // what makes it safe to leave on in production and cheap enough to sit on
 // the reactor's hot path (the ≤3% bench_svc_rpc budget in EXPERIMENTS.md).
 //
-// Concurrency model: each ring slot is five std::atomic<uint64_t> words.
-// A writer bumps a reservation counter (relaxed fetch_add picks a slot),
-// stores the words relaxed, then publishes via a release store to the
-// ring's `head`. Readers (Snapshot, DumpToFd) acquire `head`, copy slots,
-// and drop any slot whose sequence shows it was overwritten mid-copy —
-// a dump taken during a write storm loses a few events at the overwrite
-// frontier, never sees torn memory flagged by TSan. Rings are registered
-// in a fixed array of atomic pointers so a signal handler can walk every
-// thread's ring without taking the registry lock; rings of exited threads
-// park on a free list and are re-used by new threads.
+// Concurrency model: each thread's ring is an obs::SeqlockRing
+// (src/obs/seqlock_ring.h, which states the ordering argument) of 5-word
+// slots. The owning thread is the ring's only writer; readers (Snapshot,
+// DumpToFd) drop any slot the writer lapped mid-copy, so a dump taken
+// during a write storm loses a few events at the overwrite frontier and
+// never reports a torn one. Rings live in a ThreadRegistry, a fixed array
+// a signal handler can walk without a lock; rings of exited threads park
+// there and are re-used by new threads.
 //
 // Dumps: DumpText() for tooling/RPCs, DumpToFd() for signal context
 // (write(2) + a local integer formatter, no allocation, no stdio), and
@@ -36,7 +34,6 @@
 #ifndef SRC_OBS_FLIGHT_RECORDER_H_
 #define SRC_OBS_FLIGHT_RECORDER_H_
 
-#include <array>
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
@@ -44,6 +41,8 @@
 #include <string>
 #include <string_view>
 #include <vector>
+
+#include "src/obs/seqlock_ring.h"
 
 namespace indaas {
 namespace obs {
@@ -115,41 +114,29 @@ class FlightRecorder {
   static size_t ParseDumpText(std::string_view text, std::vector<FlightEvent>* out);
 
  private:
-  friend class FlightRecorderTestPeer;
-
-  struct Slot {
-    std::atomic<uint64_t> t_us{0};
-    std::atomic<uint64_t> trace_id{0};
-    std::atomic<uint64_t> a{0};
-    std::atomic<uint64_t> b{0};
-    // tid (high 32) | type (16) | code (16); 0 = never written.
-    std::atomic<uint64_t> meta{0};
-  };
-
-  struct Ring {
-    std::array<Slot, kRingCapacity> slots;
-    // Next sequence number to write; slot index = seq % kRingCapacity.
-    // Published with release so readers who acquire it see the slot words.
-    std::atomic<uint64_t> head{0};
-    // Claimed by a live thread. Cleared (release) at thread exit so a later
-    // thread can adopt the ring instead of leaking one per thread ever made.
+  // Slot words: t_us, trace_id, a, b, meta = tid (high 32) | type (16) |
+  // code (16); meta 0 = never written.
+  using EventRing = SeqlockRing<5, kRingCapacity>;
+  struct ThreadRing {
+    EventRing ring;
     std::atomic<bool> in_use{false};
   };
+  using RingRegistry = ThreadRegistry<ThreadRing, kMaxRings>;
 
-  // Releases a ring at thread exit (thread_local holder destructor).
+  // Parks the calling thread's ring at thread exit (thread_local holder).
   struct ThreadRingHolder {
-    Ring* ring = nullptr;
+    ThreadRing* entry = nullptr;
     ~ThreadRingHolder();
   };
 
   FlightRecorder() = default;
-  Ring* ThreadRing();
-  Ring* AcquireRing();
-  static void CopyRing(const Ring& ring, std::vector<FlightEvent>* out);
+  // Calls fn(const FlightEvent&) on every surviving event, ring by ring,
+  // oldest first within a ring. Async-signal-safe when fn is.
+  template <typename Fn>
+  void ForEachEvent(Fn&& fn) const;
 
   std::atomic<bool> enabled_{true};
-  std::array<std::atomic<Ring*>, kMaxRings> rings_{};
-  std::atomic<size_t> ring_count_{0};
+  RingRegistry rings_;
 };
 
 // Installs a SIGUSR2 handler that dumps the recorder, and fatal-signal

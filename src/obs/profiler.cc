@@ -50,7 +50,7 @@ thread_local bool g_in_alloc_hook = false;
 // which defeats cycles. Async-signal-safe: reads memory and nothing else.
 // `pc` (the interrupted instruction) is emitted first when nonzero.
 size_t UnwindFramePointers(uintptr_t pc, uintptr_t fp, uintptr_t stack_lo,
-                           uintptr_t stack_hi, uintptr_t* out, size_t max) {
+                           uintptr_t stack_hi, uint64_t* out, size_t max) {
   size_t n = 0;
   if (pc != 0 && n < max) out[n++] = pc;
   while (n < max) {
@@ -99,32 +99,27 @@ const std::string& ExecutablePath() {
 
 // --- Rings and thread state -------------------------------------------------
 
-// One sample slot: fixed-size so the seqlock stays word-granular. meta packs
-// tid (high 32) | flags (bits 17:16 = truncated, alloc) | depth (low 16);
-// 0 = never written.
-struct SampleSlot {
-  std::atomic<uint64_t> t_us{0};
-  std::atomic<uint64_t> trace_id{0};
-  std::atomic<uint64_t> weight{0};
-  std::atomic<uint64_t> meta{0};
-  std::array<std::atomic<uint64_t>, Profiler::kMaxFrames> pcs{};
-};
+// Sample slot words: t_us, trace_id, weight, meta, then up to kMaxFrames
+// PCs leaf-first. meta packs tid (high 32) | flags (bits 17:16 =
+// truncated, alloc) | depth (low 16); 0 = never written.
+constexpr size_t kSampleHeaderWords = 4;
+using SampleRing =
+    SeqlockRing<kSampleHeaderWords + Profiler::kMaxFrames, Profiler::kRingCapacity>;
 
-// Single-writer sample ring (flight-recorder concurrency model). The CPU
-// ring's writer is the owning thread's SIGPROF handler; the alloc ring's
-// writer is the owning thread in normal context — the handler may interrupt
-// an alloc-ring write, which is exactly why the two collectors never share
-// a ring. `tail` is the drainer's read cursor; only the drainer (under the
-// profiler mutex) touches it.
+// One collector's ring of one thread. The CPU ring's writer is the owning
+// thread's SIGPROF handler; the alloc ring's writer is the owning thread in
+// normal context. The handler may interrupt an alloc-ring write, which is
+// exactly why the two collectors never share a ring. `tail` is the
+// drainer's read cursor; only the drainer (under the profiler mutex)
+// touches it.
 struct Profiler::Ring {
-  std::array<SampleSlot, kRingCapacity> slots;
-  std::atomic<uint64_t> head{0};
+  SampleRing samples;
   uint64_t tail = 0;
 };
 
 struct Profiler::ThreadState {
-  Ring* cpu_ring = nullptr;
-  Ring* alloc_ring = nullptr;
+  Ring cpu_ring;
+  Ring alloc_ring;
   uintptr_t stack_lo = 0;
   uintptr_t stack_hi = 0;
   // Captured at registration so the signal handler reads the ambient trace
@@ -138,33 +133,33 @@ struct Profiler::ThreadState {
   // Bytes until the next allocation sample; owner-thread mutated, reset by
   // Start() (benign cross-thread store, hence atomic relaxed).
   std::atomic<int64_t> alloc_budget{0};
-  // Claimed by a live thread; cleared at thread exit so the state (and its
+  // Claimed by a live thread; parked at thread exit so the state (and its
   // rings) can be adopted instead of leaking one per thread ever made.
   std::atomic<bool> in_use{false};
+
+  // Moves both drainer cursors past everything published so far.
+  void DiscardUnread() {
+    cpu_ring.tail = cpu_ring.samples.head();
+    alloc_ring.tail = alloc_ring.samples.head();
+  }
 };
 
 namespace {
 
 thread_local Profiler::ThreadState* g_tls_state = nullptr;
 
-// Appends one sample to `ring`. Single writer per ring: head needs no RMW.
-// Async-signal-safe: relaxed word stores plus one release publish.
-void WriteSample(Profiler::Ring* ring, const uintptr_t* frames, size_t depth,
-                 uint64_t weight, bool truncated, bool alloc, uint64_t trace_id,
-                 uint32_t tid) {
-  const uint64_t seq = ring->head.load(std::memory_order_relaxed);
-  SampleSlot& slot = ring->slots[seq % Profiler::kRingCapacity];
-  slot.t_us.store(TraceNowMicros(), std::memory_order_relaxed);
-  slot.trace_id.store(trace_id, std::memory_order_relaxed);
-  slot.weight.store(weight, std::memory_order_relaxed);
-  for (size_t i = 0; i < depth; ++i) {
-    slot.pcs[i].store(frames[i], std::memory_order_relaxed);
-  }
-  const uint64_t meta = (static_cast<uint64_t>(tid) << 32) |
-                        (truncated ? 1ull << 17 : 0) | (alloc ? 1ull << 16 : 0) |
-                        (depth & 0xffff);
-  slot.meta.store(meta, std::memory_order_relaxed);
-  ring->head.store(seq + 1, std::memory_order_release);
+// Fills the header words of a sample whose `depth` frames already sit in
+// words[kSampleHeaderWords...] and publishes it to `ring`.
+// Async-signal-safe.
+void PublishSample(Profiler::Ring* ring, SampleRing::Words* words, size_t depth,
+                   uint64_t weight, bool alloc, uint64_t trace_id, uint32_t tid) {
+  const bool truncated = depth == Profiler::kMaxFrames;
+  (*words)[0] = TraceNowMicros();
+  (*words)[1] = trace_id;
+  (*words)[2] = weight;
+  (*words)[3] = (static_cast<uint64_t>(tid) << 32) | (truncated ? 1ull << 17 : 0) |
+                (alloc ? 1ull << 16 : 0) | (depth & 0xffff);
+  ring->samples.Publish(*words, kSampleHeaderWords + depth);
 }
 
 // The SIGPROF handler. Everything here follows the signal-safety rules in
@@ -189,14 +184,14 @@ void OnProfSignal(int /*signo*/, siginfo_t* /*info*/, void* ucontext_raw) {
     errno = saved_errno;
     return;
   }
-  uintptr_t frames[Profiler::kMaxFrames];
-  const size_t depth = UnwindFramePointers(pc, fp, state->stack_lo, state->stack_hi,
-                                           frames, Profiler::kMaxFrames);
+  SampleRing::Words words{};
+  const size_t depth =
+      UnwindFramePointers(pc, fp, state->stack_lo, state->stack_hi,
+                          words.data() + kSampleHeaderWords, Profiler::kMaxFrames);
   const uint64_t trace_id =
       state->trace_id_slot != nullptr ? *state->trace_id_slot : 0;
-  WriteSample(state->cpu_ring, frames, depth, /*weight=*/1,
-              depth == Profiler::kMaxFrames, /*alloc=*/false, trace_id,
-              state->trace_tid);
+  PublishSample(&state->cpu_ring, &words, depth, /*weight=*/1, /*alloc=*/false, trace_id,
+                state->trace_tid);
   errno = saved_errno;
 }
 
@@ -257,33 +252,13 @@ void Profiler::RegisterCurrentThread() {
       g_tls_state = nullptr;
       std::lock_guard<std::mutex> lock(profiler->mu_);
       profiler->DisarmTimerLocked(state);
-      state->in_use.store(false, std::memory_order_release);
+      ThreadStates::Park(state);
     }
   };
   static thread_local TlsHolder holder;
 
   std::lock_guard<std::mutex> lock(mu_);
-  ThreadState* state = nullptr;
-  for (size_t i = 0; i < kMaxThreads; ++i) {
-    ThreadState* existing = threads_[i].load(std::memory_order_acquire);
-    if (existing != nullptr) {
-      bool free_state = false;
-      if (existing->in_use.compare_exchange_strong(free_state, true,
-                                                   std::memory_order_acq_rel)) {
-        state = existing;  // adopted from an exited thread
-        break;
-      }
-      continue;
-    }
-    ThreadState* fresh = new ThreadState();
-    fresh->cpu_ring = new Ring();
-    fresh->alloc_ring = new Ring();
-    fresh->in_use.store(true, std::memory_order_relaxed);
-    threads_[i].store(fresh, std::memory_order_release);
-    thread_count_.fetch_add(1, std::memory_order_relaxed);
-    state = fresh;
-    break;
-  }
+  ThreadState* state = threads_.Acquire();
   if (state == nullptr) return;  // kMaxThreads live threads — stay unsampled
 
   CaptureStackBounds(&state->stack_lo, &state->stack_hi);
@@ -293,9 +268,7 @@ void Profiler::RegisterCurrentThread() {
   if (pthread_getcpuclockid(pthread_self(), &state->cpu_clockid) != 0) {
     state->cpu_clockid = CLOCK_THREAD_CPUTIME_ID;
   }
-  // Discard anything a previous owner left unread.
-  state->cpu_ring->tail = state->cpu_ring->head.load(std::memory_order_acquire);
-  state->alloc_ring->tail = state->alloc_ring->head.load(std::memory_order_acquire);
+  state->DiscardUnread();  // whatever a previous owner left behind
   state->alloc_budget.store(
       static_cast<int64_t>(g_alloc_interval.load(std::memory_order_relaxed)),
       std::memory_order_relaxed);
@@ -351,16 +324,12 @@ Status Profiler::Start(const ProfileOptions& options) {
   truncated_ = 0;
   session_start_us_ = TraceNowMicros();
   g_alloc_interval.store(options.alloc_interval_bytes, std::memory_order_relaxed);
-  for (size_t i = 0; i < kMaxThreads; ++i) {
-    ThreadState* state = threads_[i].load(std::memory_order_acquire);
-    if (state == nullptr) break;
-    // Discard samples from before this session.
-    state->cpu_ring->tail = state->cpu_ring->head.load(std::memory_order_acquire);
-    state->alloc_ring->tail = state->alloc_ring->head.load(std::memory_order_acquire);
-    state->alloc_budget.store(static_cast<int64_t>(options.alloc_interval_bytes),
-                              std::memory_order_relaxed);
-    if (state->in_use.load(std::memory_order_acquire)) ArmTimerLocked(state);
-  }
+  threads_.ForEach([&](ThreadState& state) {
+    state.DiscardUnread();  // samples from before this session
+    state.alloc_budget.store(static_cast<int64_t>(options.alloc_interval_bytes),
+                             std::memory_order_relaxed);
+    if (state.in_use.load(std::memory_order_acquire)) ArmTimerLocked(&state);
+  });
   g_cpu_sampling.store(true, std::memory_order_relaxed);
   g_alloc_sampling.store(options.alloc, std::memory_order_relaxed);
   running_.store(true, std::memory_order_release);
@@ -377,11 +346,7 @@ ProfileData Profiler::Stop() {
     stopping_ = true;
     g_cpu_sampling.store(false, std::memory_order_relaxed);
     g_alloc_sampling.store(false, std::memory_order_relaxed);
-    for (size_t i = 0; i < kMaxThreads; ++i) {
-      ThreadState* state = threads_[i].load(std::memory_order_acquire);
-      if (state == nullptr) break;
-      DisarmTimerLocked(state);
-    }
+    threads_.ForEach([this](ThreadState& state) { DisarmTimerLocked(&state); });
     drainer_stop_.store(true, std::memory_order_relaxed);
   }
   g_drainer_cv.notify_all();
@@ -475,49 +440,30 @@ size_t Profiler::DrainOnce() {
   size_t moved = 0;
   uint64_t dropped_now = 0;
   uint64_t truncated_now = 0;
-  for (size_t t = 0; t < kMaxThreads; ++t) {
-    ThreadState* state = threads_[t].load(std::memory_order_acquire);
-    if (state == nullptr) break;
-    for (Ring* ring : {state->cpu_ring, state->alloc_ring}) {
-      const uint64_t head = ring->head.load(std::memory_order_acquire);
-      uint64_t tail = ring->tail;
-      if (head - tail > kRingCapacity) {
-        dropped_now += head - kRingCapacity - tail;
-        tail = head - kRingCapacity;
-      }
-      for (uint64_t seq = tail; seq < head; ++seq) {
-        const SampleSlot& slot = ring->slots[seq % kRingCapacity];
-        ProfileSample sample;
-        sample.t_us = slot.t_us.load(std::memory_order_relaxed);
-        sample.trace_id = slot.trace_id.load(std::memory_order_relaxed);
-        sample.weight = slot.weight.load(std::memory_order_relaxed);
-        const uint64_t meta = slot.meta.load(std::memory_order_relaxed);
-        const size_t depth = std::min<size_t>(meta & 0xffff, kMaxFrames);
-        sample.frames.resize(depth);
-        for (size_t i = 0; i < depth; ++i) {
-          sample.frames[i] =
-              static_cast<uintptr_t>(slot.pcs[i].load(std::memory_order_relaxed));
-        }
-        // Revalidate: once head reaches seq + kRingCapacity the writer has
-        // started (not necessarily finished — head publishes after the slot
-        // stores) overwriting this slot, so the copy may be torn. >= and
-        // not >: at head == seq + kRingCapacity the overwrite is already
-        // in flight.
-        if (ring->head.load(std::memory_order_acquire) >= seq + kRingCapacity) {
-          ++dropped_now;
-          continue;
-        }
-        if (meta == 0 || depth == 0) continue;
-        sample.tid = static_cast<uint32_t>(meta >> 32);
-        sample.truncated = (meta & (1ull << 17)) != 0;
-        sample.alloc = (meta & (1ull << 16)) != 0;
-        if (sample.truncated) ++truncated_now;
-        AppendLocked(sample);
-        ++moved;
-      }
-      ring->tail = head;
+  threads_.ForEach([&](ThreadState& state) {
+    for (Ring* ring : {&state.cpu_ring, &state.alloc_ring}) {
+      const SampleRing::ReadResult read =
+          ring->samples.Read(ring->tail, [&](const SampleRing::Words& words) {
+            const uint64_t meta = words[3];
+            const size_t depth = std::min<size_t>(meta & 0xffff, kMaxFrames);
+            if (meta == 0 || depth == 0) return;
+            ProfileSample sample;
+            sample.t_us = words[0];
+            sample.trace_id = words[1];
+            sample.weight = words[2];
+            sample.tid = static_cast<uint32_t>(meta >> 32);
+            sample.truncated = (meta & (1ull << 17)) != 0;
+            sample.alloc = (meta & (1ull << 16)) != 0;
+            sample.frames.assign(words.begin() + kSampleHeaderWords,
+                                 words.begin() + kSampleHeaderWords + depth);
+            if (sample.truncated) ++truncated_now;
+            AppendLocked(sample);
+            ++moved;
+          });
+      dropped_now += read.dropped;
+      ring->tail = read.next;
     }
-  }
+  });
   if (options_.continuous) {
     // Sliding-window retention: nobody can request a window longer than
     // kMaxWindowSeconds, so anything older (plus slack for drainer latency)
@@ -577,15 +523,16 @@ void Profiler::OnAlloc(size_t size) {
   state->alloc_budget.store(interval, std::memory_order_relaxed);
   // The sample stands for every byte allocated since the previous one.
   const uint64_t weight = static_cast<uint64_t>(interval - budget);
-  uintptr_t frames[kMaxFrames];
+  SampleRing::Words words{};
   const uintptr_t fp = reinterpret_cast<uintptr_t>(__builtin_frame_address(0));
-  const size_t depth = UnwindFramePointers(/*pc=*/0, fp, state->stack_lo,
-                                           state->stack_hi, frames, kMaxFrames);
+  const size_t depth =
+      UnwindFramePointers(/*pc=*/0, fp, state->stack_lo, state->stack_hi,
+                          words.data() + kSampleHeaderWords, kMaxFrames);
   if (depth > 0) {
     const uint64_t trace_id =
         state->trace_id_slot != nullptr ? *state->trace_id_slot : 0;
-    WriteSample(state->alloc_ring, frames, depth, weight, depth == kMaxFrames,
-                /*alloc=*/true, trace_id, state->trace_tid);
+    PublishSample(&state->alloc_ring, &words, depth, weight, /*alloc=*/true, trace_id,
+                  state->trace_tid);
   }
   g_in_alloc_hook = false;
 }

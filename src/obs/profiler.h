@@ -23,9 +23,10 @@
 //   - per-thread state reached through one thread_local pointer that the
 //     thread itself published at registration (local-exec TLS, no lazy init
 //     in signal context);
-//   - samples land in per-thread seqlock rings cloned from the flight
-//     recorder (src/obs/flight_recorder.h): relaxed word stores, one release
-//     store to `head`, readers drop slots the writer lapped mid-copy;
+//   - samples land in per-thread obs::SeqlockRings, the ring type the
+//     flight recorder uses too (src/obs/seqlock_ring.h states its ordering
+//     argument): word stores plus one head publish, and the drainer drops
+//     (and counts) slots the writer lapped mid-copy;
 //   - frame-pointer walks validate every dereference against the thread's
 //     stack bounds captured at registration, so a corrupt or foreign frame
 //     chain terminates the walk instead of faulting.
@@ -46,7 +47,6 @@
 #ifndef SRC_OBS_PROFILER_H_
 #define SRC_OBS_PROFILER_H_
 
-#include <array>
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
@@ -56,6 +56,7 @@
 #include <thread>
 #include <vector>
 
+#include "src/obs/seqlock_ring.h"
 #include "src/util/status.h"
 
 namespace indaas {
@@ -109,9 +110,9 @@ class Profiler {
   // Samples buffered per thread ring between drainer sweeps. The drainer
   // runs every ~20 ms, so even 1 kHz sampling fills <5% of a ring per sweep.
   static constexpr size_t kRingCapacity = 512;
-  // Upper bound on concurrently-registered threads (flight-recorder
-  // pattern: fixed array walkable without locks, rings of exited threads
-  // are parked and re-used).
+  // Upper bound on concurrently-registered threads (an obs::ThreadRegistry:
+  // a fixed array walkable without locks; states of exited threads are
+  // parked and re-used).
   static constexpr size_t kMaxThreads = 128;
   // Hard cap on the sampling frequency a session (or RPC) may request.
   static constexpr uint32_t kMaxHz = 1000;
@@ -183,8 +184,8 @@ class Profiler {
   std::thread drainer_;
   std::atomic<bool> drainer_stop_{false};
 
-  std::array<std::atomic<ThreadState*>, kMaxThreads> threads_{};
-  std::atomic<size_t> thread_count_{0};
+  using ThreadStates = ThreadRegistry<ThreadState, kMaxThreads>;
+  ThreadStates threads_;
 };
 
 // The executable's runtime relocation base and path (for PIE-aware offline

@@ -14,7 +14,6 @@
 #include "src/obs/metrics.h"
 #include "src/obs/propagate.h"
 #include "src/obs/trace.h"
-#include "src/util/logging.h"
 #include "src/util/strings.h"
 #include "src/util/timer.h"
 

@@ -18,7 +18,6 @@
 #include "src/obs/trace.h"
 #include "src/svc/admission.h"
 #include "src/svc/proto.h"
-#include "src/util/logging.h"
 #include "src/util/timer.h"
 
 namespace indaas {
@@ -963,6 +962,21 @@ Status AuditServer::Start() {
   obs::MetricsRegistry::Global().GetCounter("obs.profile.samples");
   obs::MetricsRegistry::Global().GetCounter("obs.profile.dropped");
   obs::MetricsRegistry::Global().GetCounter("obs.profile.truncated_stacks");
+  workers_ = std::make_unique<ThreadPool>(std::max<size_t>(1, options_.worker_threads));
+  start_us_.store(obs::TraceNowMicros(), std::memory_order_relaxed);
+  serving_.store(true, std::memory_order_relaxed);
+  running_.store(true);
+  reactor_ = std::make_unique<Reactor>(this);
+  if (Status started = reactor_->Start(); !started.ok()) {
+    running_.store(false);
+    serving_.store(false, std::memory_order_relaxed);
+    reactor_->Join();
+    reactor_.reset();
+    workers_.reset();
+    return started;
+  }
+  // Armed only once the reactor serves: a Start() that fails (a taken port)
+  // must leave no session behind, and Stop() would not reach it.
   if (options_.profile_hz > 0) {
     obs::ProfileOptions popts;
     popts.hz = std::min(options_.profile_hz, obs::Profiler::kMaxHz);
@@ -980,19 +994,6 @@ Status AuditServer::Start() {
       INDAAS_SLOG(Warn, "svc.profiler_unavailable")
           .Kv("error", profiling.ToString());
     }
-  }
-  workers_ = std::make_unique<ThreadPool>(std::max<size_t>(1, options_.worker_threads));
-  start_us_.store(obs::TraceNowMicros(), std::memory_order_relaxed);
-  serving_.store(true, std::memory_order_relaxed);
-  running_.store(true);
-  reactor_ = std::make_unique<Reactor>(this);
-  if (Status started = reactor_->Start(); !started.ok()) {
-    running_.store(false);
-    serving_.store(false, std::memory_order_relaxed);
-    reactor_->Join();
-    reactor_.reset();
-    workers_.reset();
-    return started;
   }
   INDAAS_SLOG(Info, "svc.server_started")
       .Kv("port", port_)

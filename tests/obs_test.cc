@@ -4,6 +4,7 @@
 // its own instrument names and resets the recorder it touches.
 
 #include <gtest/gtest.h>
+#include <fcntl.h>
 #include <unistd.h>
 
 #include <csignal>
@@ -22,10 +23,10 @@
 #include "src/obs/metrics.h"
 #include "src/obs/profiler.h"
 #include "src/obs/propagate.h"
+#include "src/obs/seqlock_ring.h"
 #include "src/obs/trace.h"
 #include "src/obs/trace_merge.h"
 #include "src/util/file.h"
-#include "src/util/logging.h"
 
 namespace indaas {
 namespace obs {
@@ -958,17 +959,6 @@ TEST(LogTest, RateLimiterAdmitsBudgetPerWindowAndCountsSuppressed) {
   EXPECT_EQ(never.TakeSuppressed(), 1u);
 }
 
-TEST(LogTest, LegacyStreamLoggingRoutesThroughStructuredLogger) {
-  CapturedLogs capture;
-  INDAAS_LOG(Warning) << "legacy " << 42;
-  std::vector<LogRecord> records = capture.Take();
-  ASSERT_EQ(records.size(), 1u);
-  EXPECT_EQ(records[0].severity, LogSeverity::kWarn);
-  ASSERT_EQ(records[0].fields.size(), 1u);
-  EXPECT_EQ(records[0].fields[0].key, "msg");
-  EXPECT_EQ(records[0].fields[0].value, "legacy 42");
-}
-
 // --- Flight recorder ---
 
 TEST(FlightRecorderTest, RecordedEventsAppearInSnapshotInOrder) {
@@ -1096,6 +1086,179 @@ TEST(FlightRecorderTest, Sigusr2DumpsToFileAndRoundTrips) {
   EXPECT_TRUE(found_marker);
   EXPECT_TRUE(found_dump_event);  // the dump marks its own trigger point
   std::remove(path.c_str());
+}
+
+// --- Seqlock ring ---
+
+// Word i of the slot published as sequence `seq`; word 0 is seq itself, so
+// a reader can tell from any copied slot whether its words belong together.
+uint64_t SlotWord(uint64_t seq, size_t i) {
+  return i == 0 ? seq : (seq + 1) * 0x9E3779B97F4A7C15ull ^ (i * 0xBF58476D1CE4E5B9ull);
+}
+
+TEST(SeqlockRingTest, ReadSkipsOverrunSlotsAndCountsTheLapFrontier) {
+  using Ring = SeqlockRing<3, 4>;
+  Ring ring;
+  auto publish = [&ring](uint64_t seq) {
+    Ring::Words words{};
+    for (size_t i = 0; i < words.size(); ++i) words[i] = SlotWord(seq, i);
+    ring.Publish(words);
+  };
+  for (uint64_t seq = 0; seq < 10; ++seq) publish(seq);
+  std::vector<uint64_t> seen;
+  Ring::ReadResult read =
+      ring.Read(0, [&seen](const Ring::Words& words) { seen.push_back(words[0]); });
+  EXPECT_EQ(read.next, 10u);
+  // 0..5 were gone before the read began. Slot 6 is the one the writer
+  // overwrites next (head == 6 + capacity): its overwrite may already be in
+  // flight, so the check is >=, not >, and 6 is dropped too.
+  EXPECT_EQ(read.dropped, 7u);
+  EXPECT_EQ(seen, (std::vector<uint64_t>{7, 8, 9}));
+  EXPECT_EQ(ring.head(), 10u);
+
+  // Writes that land mid-read (a signal handler dumping its own thread's
+  // ring, say) lap the reader: two publishes move head to 12 == 8 +
+  // capacity, so slot 8 is dropped while 9 survives.
+  seen.clear();
+  bool published = false;
+  read = ring.Read(7, [&](const Ring::Words& words) {
+    seen.push_back(words[0]);
+    if (!published) {
+      published = true;
+      publish(10);
+      publish(11);
+    }
+  });
+  EXPECT_EQ(read.next, 10u);
+  EXPECT_EQ(read.dropped, 1u);
+  EXPECT_EQ(seen, (std::vector<uint64_t>{7, 9}));
+  // Resuming from `next` sees exactly what was published since.
+  seen.clear();
+  read = ring.Read(read.next, [&seen](const Ring::Words& words) { seen.push_back(words[0]); });
+  EXPECT_EQ(read.next, 12u);
+  EXPECT_EQ(read.dropped, 0u);
+  EXPECT_EQ(seen, (std::vector<uint64_t>{10, 11}));
+}
+
+TEST(SeqlockRingTest, ConcurrentReadersAcceptOnlyWholeSlotsAndAccountForEveryOne) {
+  // A 4-slot ring and a writer that never waits: readers are lapped all
+  // the time. Every slot a reader accepts must be one whole publish, and
+  // accepted + dropped must cover every sequence exactly once.
+  using Ring = SeqlockRing<6, 4>;
+  constexpr uint64_t kPublishes = 100000;
+  Ring ring;
+  std::thread writer([&ring] {
+    for (uint64_t seq = 0; seq < kPublishes; ++seq) {
+      Ring::Words words{};
+      for (size_t i = 0; i < words.size(); ++i) words[i] = SlotWord(seq, i);
+      ring.Publish(words);
+    }
+  });
+  struct Tally {
+    uint64_t accepted = 0, dropped = 0, torn = 0, out_of_order = 0;
+  };
+  std::vector<Tally> tallies(2);
+  std::vector<std::thread> readers;
+  for (Tally& tally : tallies) {
+    readers.emplace_back([&ring, &tally] {
+      uint64_t from = 0;
+      while (from < kPublishes) {
+        uint64_t expect_at_least = from;
+        Ring::ReadResult read = ring.Read(from, [&](const Ring::Words& words) {
+          for (size_t i = 1; i < words.size(); ++i) {
+            if (words[i] != SlotWord(words[0], i)) {
+              ++tally.torn;
+              return;
+            }
+          }
+          if (words[0] < expect_at_least) ++tally.out_of_order;
+          expect_at_least = words[0] + 1;
+          ++tally.accepted;
+        });
+        if (expect_at_least > read.next) ++tally.out_of_order;
+        tally.dropped += read.dropped;
+        from = read.next;
+      }
+    });
+  }
+  writer.join();
+  for (std::thread& reader : readers) reader.join();
+  for (const Tally& tally : tallies) {
+    EXPECT_EQ(tally.torn, 0u);
+    EXPECT_EQ(tally.out_of_order, 0u);
+    EXPECT_EQ(tally.accepted + tally.dropped, kPublishes);
+    EXPECT_GT(tally.accepted, 0u);
+  }
+}
+
+TEST(SeqlockRingTest, FlightRecorderDumpToFdDuringWriteStormIsSelfConsistent) {
+  // The sink-based read behind the signal-time dump, against writers that
+  // lap their 1024-slot rings while the dump copies them: every dumped
+  // event must be one whole Record() (b and trace_id are functions of a).
+  FlightRecorder& recorder = FlightRecorder::Global();
+  constexpr uint64_t kTag = 0x5EA10C0000000000ull;
+  std::atomic<bool> stop{false};
+  std::vector<std::thread> writers;
+  for (int t = 0; t < 3; ++t) {
+    writers.emplace_back([&recorder, &stop, t] {
+      for (uint64_t i = static_cast<uint64_t>(t) << 32; !stop.load(std::memory_order_relaxed);
+           ++i) {
+        recorder.Record(FlightEventType::kRpcEnd, kTag | i, SlotWord(i, 1),
+                        static_cast<uint16_t>(i), SlotWord(i, 2));
+      }
+    });
+  }
+  const std::string path =
+      testing::TempDir() + "indaas_seqlock_dump_" + std::to_string(::getpid()) + ".dump";
+  size_t checked = 0;
+  for (int round = 0; round < 5; ++round) {
+    const int fd = ::open(path.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
+    ASSERT_GE(fd, 0);
+    recorder.DumpToFd(fd);
+    ::close(fd);
+    auto text = ReadFile(path);
+    ASSERT_TRUE(text.ok()) << text.status().ToString();
+    std::vector<FlightEvent> parsed;
+    FlightRecorder::ParseDumpText(*text, &parsed);
+    for (const FlightEvent& e : parsed) {
+      if ((e.a & 0xFFFFFF0000000000ull) != kTag) continue;
+      const uint64_t i = e.a & ~0xFFFFFF0000000000ull;
+      ++checked;
+      EXPECT_EQ(e.type, FlightEventType::kRpcEnd);
+      EXPECT_EQ(e.b, SlotWord(i, 1));
+      EXPECT_EQ(e.trace_id, SlotWord(i, 2));
+      EXPECT_EQ(e.code, static_cast<uint16_t>(i));
+    }
+  }
+  stop.store(true);
+  for (std::thread& w : writers) w.join();
+  std::remove(path.c_str());
+  EXPECT_GT(checked, 0u);
+}
+
+TEST(SeqlockRingTest, RegistryAdoptsParkedEntriesAndCapsLiveOnes) {
+  struct Entry {
+    std::atomic<bool> in_use{false};
+  };
+  using Registry = ThreadRegistry<Entry, 3>;
+  static Registry registry;  // static: entries are never freed by design
+  Entry* a = registry.Acquire();
+  Entry* b = registry.Acquire();
+  Entry* c = registry.Acquire();
+  ASSERT_NE(a, nullptr);
+  ASSERT_NE(b, nullptr);
+  ASSERT_NE(c, nullptr);
+  EXPECT_NE(a, b);
+  EXPECT_NE(b, c);
+  EXPECT_EQ(registry.Acquire(), nullptr);  // full: every entry is live
+  Registry::Park(b);
+  EXPECT_EQ(registry.Acquire(), b);  // a later thread adopts the parked entry
+  size_t walked = 0;
+  registry.ForEach([&walked](Entry& entry) {
+    EXPECT_TRUE(entry.in_use.load());
+    ++walked;
+  });
+  EXPECT_EQ(walked, 3u);
 }
 
 // --- Tail sampler ---

@@ -906,6 +906,24 @@ TEST(AuditServerTest, ContinuousProfilingServesWindows) {
   EXPECT_FALSE(obs::Profiler::Global().running());
 }
 
+TEST(AuditServerTest, FailedStartLeavesNoProfilerSessionBehind) {
+  // A server whose port is taken must not leave its continuous profiler
+  // session running: Stop() is a no-op after a failed Start(), so nothing
+  // else would ever stop it. The port is held by a plain listener (no
+  // SO_REUSEPORT), so the server's sharded-accept bind fails.
+  auto taken = net::TcpListen(0);
+  ASSERT_TRUE(taken.ok()) << taken.status().ToString();
+  auto port = taken->LocalPort();
+  ASSERT_TRUE(port.ok()) << port.status().ToString();
+  AuditServerOptions options;
+  options.port = *port;
+  options.profile_hz = 99;
+  AuditServer server(options);
+  EXPECT_FALSE(server.Start().ok());
+  server.Stop();
+  EXPECT_FALSE(obs::Profiler::Global().running());
+}
+
 TEST(AuditServerTest, ReactorReportsItsShards) {
   AuditServerOptions options;
   options.reactor_shards = 3;
