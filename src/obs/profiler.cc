@@ -49,6 +49,13 @@ thread_local bool g_in_alloc_hook = false;
 // instead of faulting; the walk also insists frames move strictly upward,
 // which defeats cycles. Async-signal-safe: reads memory and nothing else.
 // `pc` (the interrupted instruction) is emitted first when nonzero.
+//
+// Not instrumented by ASan, deliberately: the walk reads only in-bounds
+// words of this thread's stack, but SIGPROF can land while ASan is poisoning
+// a frame (e.g. an out-of-scope local of AbsorbMinimal), and an instrumented
+// load of that still-valid word would abort the run as a
+// stack-use-after-scope. Unwinders read stacks this way for the same reason.
+__attribute__((no_sanitize_address))
 size_t UnwindFramePointers(uintptr_t pc, uintptr_t fp, uintptr_t stack_lo,
                            uintptr_t stack_hi, uint64_t* out, size_t max) {
   size_t n = 0;
@@ -784,6 +791,12 @@ void* operator new[](std::size_t size, std::align_val_t align) {
   return ptr;
 }
 
+// Every replacement operator new above allocates with malloc (or
+// aligned_alloc), so free is the matching release. GCC cannot see that
+// pairing once it inlines these into a `new T` in this file and reports a
+// false -Wmismatched-new-delete; this is the one place the pairing is set.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
 void operator delete(void* ptr) noexcept { std::free(ptr); }
 void operator delete[](void* ptr) noexcept { std::free(ptr); }
 void operator delete(void* ptr, std::size_t) noexcept { std::free(ptr); }
@@ -794,3 +807,4 @@ void operator delete(void* ptr, std::align_val_t) noexcept { std::free(ptr); }
 void operator delete[](void* ptr, std::align_val_t) noexcept { std::free(ptr); }
 void operator delete(void* ptr, std::size_t, std::align_val_t) noexcept { std::free(ptr); }
 void operator delete[](void* ptr, std::size_t, std::align_val_t) noexcept { std::free(ptr); }
+#pragma GCC diagnostic pop

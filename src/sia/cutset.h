@@ -6,7 +6,7 @@
 // basic event. All rows produced during one enumeration live in append-only
 // CutSetArena word pools, so AND-gate Cartesian products allocate by bumping
 // a vector instead of churning the heap with one std::vector per set.
-// Primitive costs (vs the legacy sorted-vector representation):
+// Primitive costs (vs sorted-vector cut sets, as in tests/rg_oracle.h):
 //   union        O(stride) word ORs            (vs std::set_union + alloc)
 //   subset test  O(stride) `a & ~b` words      (vs std::includes)
 //   size         O(stride) popcounts

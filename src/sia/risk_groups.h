@@ -2,10 +2,11 @@
 //
 // A risk group (RG) is a set of basic failure events whose simultaneous
 // occurrence fails the top event. A *minimal* RG stops being an RG if any
-// member is removed. Two pluggable algorithms:
+// member is removed. Two algorithms compute them:
 //   * ComputeMinimalRiskGroups — exact bottom-up cut-set computation adapted
-//     from classic fault tree analysis; precise but NP-hard (exponential in
-//     the worst case). Supports size-bounded analysis and inline absorption.
+//     from classic fault tree analysis, on the bitset cut-set engine
+//     (cutset.h); precise but NP-hard (exponential in the worst case).
+//     Supports size-bounded analysis.
 //   * SampleRiskGroups (sampling.h) — linear-time randomized detection.
 
 #ifndef SRC_SIA_RISK_GROUPS_H_
@@ -22,25 +23,9 @@ namespace indaas {
 // A set of basic-event node ids, sorted ascending.
 using RiskGroup = std::vector<NodeId>;
 
-// True if `a` is a subset of `b`; both must be sorted.
-bool IsSubsetOf(const RiskGroup& a, const RiskGroup& b);
-
 // Removes duplicates and non-minimal groups (supersets of another group).
 // The result is sorted by size, then lexicographically.
 std::vector<RiskGroup> MinimizeRiskGroups(std::vector<RiskGroup> groups);
-
-// Which cut-set representation drives the bottom-up computation. Both
-// engines produce byte-identical MinimalRgResults (property-tested); the
-// legacy vector engine is retained as the parity baseline and perf yardstick.
-enum class RgEngine : uint8_t {
-  // Fixed-stride uint64_t bitsets over the basic events, arena-allocated,
-  // with hash dedup, bucket-by-popcount absorption, and optional thread-pool
-  // sharding of AND products and absorption passes (DESIGN.md §5).
-  kBitset,
-  // Sorted std::vector<NodeId> per cut set, std::set_union products,
-  // pairwise std::includes absorption; single-threaded.
-  kVector,
-};
 
 struct MinimalRgOptions {
   // Cut sets larger than this are pruned during computation: the analysis is
@@ -51,14 +36,10 @@ struct MinimalRgOptions {
   // computation fails with kResourceExhausted rather than consuming all
   // memory. SIZE_MAX means unbounded.
   size_t max_cut_sets_per_node = SIZE_MAX;
-  // Apply absorption (subset pruning) after every combination step instead of
-  // only at the end. Usually a large win; ablatable (DESIGN.md §4).
-  bool inline_absorption = true;
-  RgEngine engine = RgEngine::kBitset;
-  // Worker threads for the bitset engine's AND-product / absorption sharding
-  // (0 = hardware concurrency, 1 = fully sequential). Output is byte-
-  // identical for every thread count; the pool is only spun up once a stage
-  // has enough work to amortize it.
+  // Worker threads for AND-product / absorption sharding (0 = hardware
+  // concurrency, 1 = fully sequential). Output is byte-identical for every
+  // thread count; the pool is only spun up once a stage has enough work to
+  // amortize it.
   size_t threads = 0;
 };
 
@@ -71,14 +52,6 @@ struct MinimalRgResult {
 // Exact minimal risk groups of the validated graph's top event.
 Result<MinimalRgResult> ComputeMinimalRiskGroups(const FaultGraph& graph,
                                                  const MinimalRgOptions& options = {});
-
-// Verifies by evaluation that every member of `group` is needed: `group`
-// fails the top event and no proper subset obtained by dropping one element
-// does. (Test/debug helper; O(|group| * |graph|).)
-bool IsMinimalRiskGroup(const FaultGraph& graph, const RiskGroup& group);
-
-// True if failing exactly `group` fails the top event.
-bool FailsTopEvent(const FaultGraph& graph, const RiskGroup& group);
 
 }  // namespace indaas
 

@@ -21,6 +21,7 @@
 #include "src/sia/sampling.h"
 #include "src/topology/fat_tree.h"
 #include "src/util/rng.h"
+#include "tests/rg_oracle.h"
 
 namespace indaas {
 namespace {
@@ -129,40 +130,34 @@ TEST_P(MinimalRgVsBruteForceTest, ExactMatch) {
 INSTANTIATE_TEST_SUITE_P(Seeds, MinimalRgVsBruteForceTest,
                          ::testing::Values(1, 2, 3, 5, 8, 13, 21, 34, 55, 89));
 
-// --- Bitset engine vs legacy vector engine, swept over seeds and options ---
+// --- Bitset engine vs the test oracle, swept over seeds and options ---
 //
-// The two engines must be byte-identical: same groups in the same order and
-// the same size_bounded flag, for every combination of inline absorption,
-// size bound, and bitset thread count.
+// The engine must match the oracle (tests/rg_oracle.h) byte for byte: same
+// groups in the same order and the same size_bounded flag, for every size
+// bound and thread count.
 
 class RgEngineParityTest : public ::testing::TestWithParam<uint64_t> {};
 
-TEST_P(RgEngineParityTest, BitsetMatchesVectorEngine) {
+TEST_P(RgEngineParityTest, BitsetMatchesOracle) {
   Rng rng(GetParam() * 6151);
   for (int trial = 0; trial < 15; ++trial) {
     size_t num_basic = 3 + rng.NextBelow(10);  // 3..12
     size_t num_gates = 2 + rng.NextBelow(7);   // 2..8
     FaultGraph graph = RandomFaultGraph(rng, num_basic, num_gates);
-    for (bool inline_absorption : {true, false}) {
-      for (size_t max_rg_size : {SIZE_MAX, size_t{3}}) {
-        MinimalRgOptions vector_options;
-        vector_options.engine = RgEngine::kVector;
-        vector_options.inline_absorption = inline_absorption;
-        vector_options.max_rg_size = max_rg_size;
-        auto expected = ComputeMinimalRiskGroups(graph, vector_options);
-        ASSERT_TRUE(expected.ok());
-        for (size_t threads : {size_t{1}, size_t{4}}) {
-          MinimalRgOptions bitset_options = vector_options;
-          bitset_options.engine = RgEngine::kBitset;
-          bitset_options.threads = threads;
-          auto got = ComputeMinimalRiskGroups(graph, bitset_options);
-          ASSERT_TRUE(got.ok());
-          EXPECT_EQ(got->groups, expected->groups)
-              << "seed " << GetParam() << " trial " << trial << " inline " << inline_absorption
-              << " bound " << max_rg_size << " threads " << threads;
-          EXPECT_EQ(got->size_bounded, expected->size_bounded)
-              << "seed " << GetParam() << " trial " << trial;
-        }
+    for (size_t max_rg_size : {SIZE_MAX, size_t{3}}) {
+      MinimalRgOptions options;
+      options.max_rg_size = max_rg_size;
+      auto expected = OracleMinimalRiskGroups(graph, options);
+      ASSERT_TRUE(expected.ok());
+      for (size_t threads : {size_t{1}, size_t{4}}) {
+        options.threads = threads;
+        auto got = ComputeMinimalRiskGroups(graph, options);
+        ASSERT_TRUE(got.ok());
+        EXPECT_EQ(got->groups, expected->groups)
+            << "seed " << GetParam() << " trial " << trial << " bound " << max_rg_size
+            << " threads " << threads;
+        EXPECT_EQ(got->size_bounded, expected->size_bounded)
+            << "seed " << GetParam() << " trial " << trial;
       }
     }
   }
@@ -170,20 +165,20 @@ TEST_P(RgEngineParityTest, BitsetMatchesVectorEngine) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RgEngineParityTest, ::testing::Range<uint64_t>(1, 9));
 
-// Every group either engine emits on an unbounded run is truly minimal by
-// direct graph evaluation.
+// Every group the engine or the oracle emits on an unbounded run is truly
+// minimal by direct graph evaluation.
 TEST(RgEngineParityTest, EmittedGroupsAreTrulyMinimal) {
   Rng rng(4057);
   for (int trial = 0; trial < 10; ++trial) {
     FaultGraph graph = RandomFaultGraph(rng, 3 + rng.NextBelow(7), 2 + rng.NextBelow(5));
-    for (RgEngine engine : {RgEngine::kBitset, RgEngine::kVector}) {
-      MinimalRgOptions options;
-      options.engine = engine;
-      auto result = ComputeMinimalRiskGroups(graph, options);
-      ASSERT_TRUE(result.ok());
+    auto engine = ComputeMinimalRiskGroups(graph);
+    auto oracle = OracleMinimalRiskGroups(graph);
+    ASSERT_TRUE(engine.ok());
+    ASSERT_TRUE(oracle.ok());
+    for (const auto* result : {&*engine, &*oracle}) {
       for (const RiskGroup& group : result->groups) {
         EXPECT_TRUE(IsMinimalRiskGroup(graph, group))
-            << "trial " << trial << " engine " << (engine == RgEngine::kBitset ? "bitset" : "vector");
+            << "trial " << trial << (result == &*engine ? " engine" : " oracle");
       }
     }
   }
@@ -196,19 +191,16 @@ TEST(RgEngineParityTest, EmittedGroupsAreTrulyMinimal) {
 // below cross 64 basic events, so they reach the second word, the
 // fingerprint table and the key-bit survivor index.
 
-// Asserts the bitset engine at 1 and 4 threads returns exactly what the
-// vector engine returns under `options`.
-void ExpectEnginesAgree(const FaultGraph& graph, MinimalRgOptions options) {
-  options.engine = RgEngine::kVector;
-  auto expected = ComputeMinimalRiskGroups(graph, options);
+// Asserts the engine at 1 and 4 threads returns exactly what the oracle
+// returns under `options`.
+void ExpectMatchesOracle(const FaultGraph& graph, MinimalRgOptions options) {
+  auto expected = OracleMinimalRiskGroups(graph, options);
   ASSERT_TRUE(expected.ok());
   for (size_t threads : {size_t{1}, size_t{4}}) {
-    options.engine = RgEngine::kBitset;
     options.threads = threads;
     auto got = ComputeMinimalRiskGroups(graph, options);
     ASSERT_TRUE(got.ok());
-    EXPECT_EQ(got->groups, expected->groups)
-        << "threads " << threads << " inline " << options.inline_absorption;
+    EXPECT_EQ(got->groups, expected->groups) << "threads " << threads;
     EXPECT_EQ(got->size_bounded, expected->size_bounded);
   }
 }
@@ -217,8 +209,9 @@ void ExpectEnginesAgree(const FaultGraph& graph, MinimalRgOptions options) {
 // tree, each with all 16 routes to the Internet. With `software`, every host
 // also has the fleet's one disk model and runs one program on 38 fleet-wide
 // packages (common-mode dependencies, as in the paper's case studies), which
-// puts even two hosts past 64 basic events.
-FaultGraph FatTreeDeployment(size_t servers, bool software) {
+// puts even two hosts past 64 basic events. A nonzero `required_servers`
+// makes the top event k-of-n instead of AND.
+FaultGraph FatTreeDeployment(size_t servers, bool software, uint32_t required_servers = 0) {
   auto topo = BuildFatTree(8);
   EXPECT_TRUE(topo.ok());
   auto internet = topo->FindDevice("Internet");
@@ -242,7 +235,9 @@ FaultGraph FatTreeDeployment(size_t servers, bool software) {
     }
     deployment.push_back(host);
   }
-  auto graph = BuildDeploymentFaultGraph(db, deployment);
+  BuildOptions options;
+  options.required_servers = required_servers;
+  auto graph = BuildDeploymentFaultGraph(db, deployment, options);
   EXPECT_TRUE(graph.ok());
   return std::move(*graph);
 }
@@ -263,15 +258,30 @@ FaultGraph OrOfGroups(size_t num_basic, const std::vector<RiskGroup>& groups) {
   return graph;
 }
 
-TEST(RgEngineScaleParityTest, FatTreeDeploymentsMatchVector) {
-  for (size_t servers : {2, 3, 4}) {
+// Up to 5 servers: the oracle's cost grows about 10x per added server.
+TEST(RgEngineScaleParityTest, FatTreeDeploymentsMatchOracle) {
+  for (size_t servers : {2, 3, 4, 5}) {
     SCOPED_TRACE("servers " + std::to_string(servers));
     FaultGraph graph = FatTreeDeployment(servers, /*software=*/true);
     EXPECT_GT(graph.BasicEvents().size(), 64u);
-    ExpectEnginesAgree(graph, MinimalRgOptions{});
+    ExpectMatchesOracle(graph, MinimalRgOptions{});
     MinimalRgOptions bounded;
     bounded.max_rg_size = 3;
-    ExpectEnginesAgree(graph, bounded);
+    ExpectMatchesOracle(graph, bounded);
+  }
+}
+
+// A k-of-n top event (the deployment survives while `required` servers are
+// up): 3-of-4 takes the general k-subset path, 3-of-3 the single product.
+TEST(RgEngineScaleParityTest, KofNTopDeploymentsMatchOracle) {
+  for (auto [servers, required] : {std::pair<size_t, uint32_t>{4, 2}, {3, 1}}) {
+    SCOPED_TRACE("servers " + std::to_string(servers) + " required " + std::to_string(required));
+    FaultGraph graph = FatTreeDeployment(servers, /*software=*/true, required);
+    ASSERT_EQ(graph.node(graph.top_event()).gate, GateType::kKofN);
+    ExpectMatchesOracle(graph, MinimalRgOptions{});
+    MinimalRgOptions bounded;
+    bounded.max_rg_size = 3;
+    ExpectMatchesOracle(graph, bounded);
   }
 }
 
@@ -295,14 +305,9 @@ TEST(RgEngineScaleParityTest, RowsDifferingOnlyInTheHighWord) {
     groups.push_back(std::move(group));
   }
   FaultGraph graph = OrOfGroups(128, groups);
-  for (bool inline_absorption : {true, false}) {
-    MinimalRgOptions options;
-    options.inline_absorption = inline_absorption;
-    ExpectEnginesAgree(graph, options);
-  }
-  MinimalRgOptions vector_options;
-  vector_options.engine = RgEngine::kVector;
-  EXPECT_EQ(MinimizeRiskGroups(groups), ComputeMinimalRiskGroups(graph, vector_options)->groups);
+  ExpectMatchesOracle(graph, MinimalRgOptions{});
+  EXPECT_EQ(MinimizeRiskGroups(groups), OracleMinimalRiskGroups(graph)->groups);
+  EXPECT_EQ(MinimizeRiskGroups(groups), OracleMinimize(groups));
 }
 
 // 300 rows drawn from 40 distinct sets of 2..7 events over 90 events: every
@@ -323,14 +328,9 @@ TEST(RgEngineScaleParityTest, DuplicatesSpreadAcrossPopcountLevels) {
     groups.push_back(distinct[rng.NextBelow(distinct.size())]);
   }
   FaultGraph graph = OrOfGroups(90, groups);
-  for (bool inline_absorption : {true, false}) {
-    MinimalRgOptions options;
-    options.inline_absorption = inline_absorption;
-    ExpectEnginesAgree(graph, options);
-  }
-  MinimalRgOptions vector_options;
-  vector_options.engine = RgEngine::kVector;
-  EXPECT_EQ(MinimizeRiskGroups(groups), ComputeMinimalRiskGroups(graph, vector_options)->groups);
+  ExpectMatchesOracle(graph, MinimalRgOptions{});
+  EXPECT_EQ(MinimizeRiskGroups(groups), OracleMinimalRiskGroups(graph)->groups);
+  EXPECT_EQ(MinimizeRiskGroups(groups), OracleMinimize(groups));
 }
 
 // The engine starts its pool only for work that pays for it: a four-server
@@ -427,6 +427,7 @@ TEST(MinimizePropertyTest, IdempotentAndSound) {
       raw.push_back(std::move(group));
     }
     auto minimized = MinimizeRiskGroups(raw);
+    EXPECT_EQ(minimized, OracleMinimize(raw)) << "trial " << trial;
     // Idempotence.
     EXPECT_EQ(MinimizeRiskGroups(minimized), minimized);
     // No survivor is a superset of another survivor.

@@ -14,6 +14,7 @@
 #include "src/sia/risk_groups.h"
 #include "src/sia/sampling.h"
 #include "src/util/rng.h"
+#include "tests/rg_oracle.h"
 
 namespace indaas {
 namespace {
@@ -167,71 +168,44 @@ TEST(MinimalRgTest, RequiresValidatedGraph) {
   EXPECT_FALSE(ComputeMinimalRiskGroups(graph).ok());
 }
 
-TEST(MinimalRgTest, AbsorptionAblationSameResult) {
-  // Inline absorption is a performance knob; results must be identical.
-  FaultGraph graph = BuildSharedTorGraph();
-  MinimalRgOptions inline_on;
-  MinimalRgOptions inline_off;
-  inline_off.inline_absorption = false;
-  auto on = ComputeMinimalRiskGroups(graph, inline_on);
-  auto off = ComputeMinimalRiskGroups(graph, inline_off);
-  ASSERT_TRUE(on.ok());
-  ASSERT_TRUE(off.ok());
-  EXPECT_EQ(Names(graph, on->groups), Names(graph, off->groups));
-}
-
-// --- Bitset vs vector engine on the fixed graphs ---
-
-TEST(MinimalRgTest, EnginesAgreeOnFixedGraphs) {
-  for (FaultGraph graph : {BuildFig4a(), BuildSharedTorGraph()}) {
-    MinimalRgOptions bitset_options;
-    bitset_options.engine = RgEngine::kBitset;
-    MinimalRgOptions vector_options;
-    vector_options.engine = RgEngine::kVector;
-    auto bitset = ComputeMinimalRiskGroups(graph, bitset_options);
-    auto vector = ComputeMinimalRiskGroups(graph, vector_options);
-    ASSERT_TRUE(bitset.ok());
-    ASSERT_TRUE(vector.ok());
-    EXPECT_EQ(bitset->groups, vector->groups);
-    EXPECT_EQ(bitset->size_bounded, vector->size_bounded);
-  }
-}
-
-TEST(MinimalRgTest, BitsetEngineBudgetExceededFailsCleanly) {
-  // Same 3^12-cut-set workload as BudgetExceededFailsCleanly, bitset engine.
+TEST(MinimalRgTest, AndGateWhoseProductsAllExceedTheBoundIsSizeBounded) {
+  // Both AND children fit the bound; every product of the top AND does not,
+  // so the top keeps no cut set and the result must say it was bounded.
   FaultGraph graph;
-  std::vector<NodeId> ors;
-  for (int i = 0; i < 12; ++i) {
-    std::vector<NodeId> basics;
-    for (int j = 0; j < 3; ++j) {
-      basics.push_back(graph.AddBasicEvent("b" + std::to_string(i) + "_" + std::to_string(j)));
-    }
-    ors.push_back(graph.AddGate("or" + std::to_string(i), GateType::kOr, basics));
-  }
-  NodeId top = graph.AddGate("top", GateType::kAnd, ors);
-  graph.SetTopEvent(top);
+  NodeId a = graph.AddBasicEvent("a");
+  NodeId b = graph.AddBasicEvent("b");
+  NodeId c = graph.AddBasicEvent("c");
+  NodeId d = graph.AddBasicEvent("d");
+  NodeId ab = graph.AddGate("ab", GateType::kAnd, {a, b});
+  NodeId cd = graph.AddGate("cd", GateType::kAnd, {c, d});
+  graph.SetTopEvent(graph.AddGate("top", GateType::kAnd, {ab, cd}));
   ASSERT_TRUE(graph.Validate().ok());
   MinimalRgOptions options;
-  options.engine = RgEngine::kBitset;
-  options.max_cut_sets_per_node = 1000;
-  auto result = ComputeMinimalRiskGroups(graph, options);
-  ASSERT_FALSE(result.ok());
-  EXPECT_EQ(result.status().code(), StatusCode::kResourceExhausted);
-}
-
-TEST(MinimalRgTest, BitsetEngineSizeBoundPrunes) {
-  FaultGraph graph = BuildFig4a();
-  MinimalRgOptions options;
-  options.engine = RgEngine::kBitset;
-  options.max_rg_size = 1;
+  options.max_rg_size = 3;
   auto result = ComputeMinimalRiskGroups(graph, options);
   ASSERT_TRUE(result.ok());
+  EXPECT_TRUE(result->groups.empty());
   EXPECT_TRUE(result->size_bounded);
-  auto names = Names(graph, result->groups);
-  EXPECT_EQ(names, (std::set<std::vector<std::string>>{{"A2"}}));
+  auto expected = OracleMinimalRiskGroups(graph, options);
+  ASSERT_TRUE(expected.ok());
+  EXPECT_EQ(result->groups, expected->groups);
+  EXPECT_EQ(result->size_bounded, expected->size_bounded);
 }
 
-TEST(MinimalRgTest, BitsetEngineWideGraphCrossesWordBoundary) {
+// --- Bitset engine vs the test oracle on the fixed graphs ---
+
+TEST(MinimalRgTest, MatchesOracleOnFixedGraphs) {
+  for (FaultGraph graph : {BuildFig4a(), BuildSharedTorGraph()}) {
+    auto got = ComputeMinimalRiskGroups(graph);
+    auto expected = OracleMinimalRiskGroups(graph);
+    ASSERT_TRUE(got.ok());
+    ASSERT_TRUE(expected.ok());
+    EXPECT_EQ(got->groups, expected->groups);
+    EXPECT_EQ(got->size_bounded, expected->size_bounded);
+  }
+}
+
+TEST(MinimalRgTest, WideGraphCrossesWordBoundary) {
   // 70 basic events force a 2-word stride; OR over all of them plus an AND
   // pair spanning both words.
   FaultGraph graph;
@@ -245,14 +219,11 @@ TEST(MinimalRgTest, BitsetEngineWideGraphCrossesWordBoundary) {
   NodeId top = graph.AddGate("top", GateType::kOr, {wide_or, pair});
   graph.SetTopEvent(top);
   ASSERT_TRUE(graph.Validate().ok());
-  for (RgEngine engine : {RgEngine::kBitset, RgEngine::kVector}) {
-    MinimalRgOptions options;
-    options.engine = engine;
-    auto result = ComputeMinimalRiskGroups(graph, options);
-    ASSERT_TRUE(result.ok());
-    EXPECT_EQ(result->groups.size(), 69u);  // 68 singletons + {b0, b1}
-    EXPECT_EQ(result->groups.back(), (RiskGroup{basics[0], basics[1]}));
-  }
+  auto result = ComputeMinimalRiskGroups(graph);
+  ASSERT_TRUE(result.ok());
+  EXPECT_EQ(result->groups.size(), 69u);  // 68 singletons + {b0, b1}
+  EXPECT_EQ(result->groups.back(), (RiskGroup{basics[0], basics[1]}));
+  EXPECT_EQ(result->groups, OracleMinimalRiskGroups(graph)->groups);
 }
 
 // --- MinimizeRiskGroups / subset helpers ---

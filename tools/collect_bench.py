@@ -52,19 +52,20 @@ def run_bench(cmd):
 
 
 def collect_risk_groups(build, workdir):
-    """bench_risk_groups: one entry per (topology case, engine)."""
+    """bench_risk_groups: one entry per point of the servers curve."""
     out = workdir / "risk_groups.json"
     run_bench([str(build / "bench" / "bench_risk_groups"), f"--json-out={out}"])
     doc = json.loads(out.read_text())
     snapshot = {}
     for result in doc["results"]:
-        name = f"risk_groups/{result['bench']}/{result['engine']}"
+        name = f"risk_groups/{result['bench']}"
         snapshot[name] = {
             "p50_seconds": result["ns_per_op"] / 1e9,
             "bytes": 0,
             "config": {
                 "topology": result["topology"],
-                "engine": result["engine"],
+                "servers": result["servers"],
+                "paths": result["paths"],
                 "groups": result["groups"],
                 "reps": doc["reps"],
                 "threads": doc["threads"],
